@@ -109,6 +109,17 @@ def _emit_machine(machine, fmt: str, out: str | None) -> None:
         print(text, end="")
 
 
+def _positive_int(text: str) -> int:
+    """A --budget value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _budget_from(args) -> Budget:
     return Budget(limit=args.budget) if args.budget is not None else Budget()
 
@@ -117,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("text", "structured"),
                         default="text", help="report style")
-    shared.add_argument("--budget", type=int, default=None, metavar="N",
+    shared.add_argument("--budget", type=_positive_int, default=None, metavar="N",
                         help="cap on solver nodes plus automaton states")
     shared.add_argument("--max-len", type=int, default=8, metavar="L",
                         help="word-length horizon for enumeration verbs")

@@ -4,13 +4,22 @@ A FlowSystem asks for a walk from the source to one of the sinks whose
 edge-usage vector satisfies per-edge lower bounds and a set of balance
 pairs (two edge classes whose totals must agree), optionally with some
 class used at least once.  solve() decides feasibility exactly with
-integer arithmetic: the system of conservation/balance equations is
-checked for rational consistency, intervals are propagated to a fixpoint
-with divisibility checks, and a best-first branch-and-bound (splitting
-variable intervals, bounded by the standard small-solution box for
-integer linear systems) searches for a usable assignment.  Walks must
-have connected, source-anchored support; assignments that fail this are
-excluded by forbidding their exact support pattern and continuing.
+integer arithmetic: an exact phase-1 simplex refutes systems with no
+rational solution, Gauss-Jordan elimination of the conservation/balance
+equations checks their consistency and adds one row per pivot variable,
+intervals are propagated to a fixpoint with divisibility checks, and a
+best-first branch-and-bound (splitting variable intervals, bounded by
+the standard small-solution box for integer linear systems) searches for
+a usable assignment.  Walks must have connected, source-anchored
+support; assignments that fail this are excluded by forbidding their
+exact support pattern and continuing.
+
+The systems are small, sparse and mostly +-1, so the elimination and
+the simplex work fraction-free on sparse integer rows ({var: int} plus
+an int right-hand side): a row is combined with a pivot row by
+row <- p*row - f*pivot_row, touching only the rows that hold the pivot
+column, and divided by the gcd of its entries.  No rational number is
+ever formed; the results are those of exact rational arithmetic.
 
 Everything is deterministic; exceeding the node budget raises a resource
 error rather than ever returning a wrong answer.
@@ -22,7 +31,6 @@ import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .nfa import ResourceBudgetError
@@ -113,56 +121,88 @@ class _Row:
     kind: str
 
 
-def _row_from_fraction(coeffs: dict, rhs: Fraction) -> _Row:
-    denominators = [c.denominator for c in coeffs.values()] + [rhs.denominator]
-    scale = 1
-    for d in denominators:
-        scale = scale * d // gcd(scale, d)
-    out = {v: int(c * scale) for v, c in coeffs.items() if c != 0}
-    return _Row(out, int(rhs * scale), _EQ)
+def _combine(row: dict, rhs: int, scale: int, other: dict, other_rhs: int,
+             factor: int) -> tuple[dict, int]:
+    """scale*row - factor*other, divided by the gcd of its entries.
+
+    factor is nonzero and so is every entry of other, so an entry that
+    comes out zero was in row before."""
+    out = dict(row) if scale == 1 else {v: scale * c for v, c in row.items()}
+    for v, c in other.items():
+        value = out.get(v, 0) - factor * c
+        if value:
+            out[v] = value
+        else:
+            del out[v]
+    rhs = scale * rhs - factor * other_rhs
+    g = gcd(rhs, *out.values())
+    if g > 1:
+        out = {v: c // g for v, c in out.items()}
+        rhs //= g
+    return out, rhs
 
 
 def _eliminate(rows: list[_Row], n_vars: int):
-    """Gaussian elimination over the rationals on the equality rows.
+    """Gauss-Jordan elimination of the equality rows, fraction-free.
 
-    Returns (consistent, pivot_vars, triangular_rows); the triangular
-    rows are equivalent consequences with integer coefficients, useful
-    for propagation because each introduces one pivot variable."""
-    matrix = []
+    Returns (consistent, pivot_vars, triangular_rows).  The columns are
+    taken in ascending order, and each pivots on a row not yet used that
+    contains it, the shortest such.  Only the rows that contain the
+    pivot column are touched: row <- head*row - f*pivot_row, with
+    head/f reduced by their gcd, and the result divided by the gcd of
+    its entries and right-hand side, so every number stays small.
+
+    pivot_vars are the pivot columns of the reduced row echelon form of
+    the coefficient matrix, in ascending order.  When the system is
+    consistent, triangular_rows are the rows of that form in pivot
+    order, each the primitive integer multiple with a positive pivot,
+    coefficients in ascending variable order.  The reduced row echelon
+    form of a matrix is unique and so is the primitive positive multiple
+    of a row, so these rows depend only on the system, not on the pivot
+    rows chosen; each has one pivot variable, which makes it useful for
+    propagation.  An inconsistent system gives no rows."""
+    coeffs: list[dict] = []
+    rhs: list[int] = []
+    holders: dict = defaultdict(set)
     for row in rows:
         if row.kind != _EQ:
             continue
-        vec = [Fraction(0)] * (n_vars + 1)
-        for v, c in row.coeffs.items():
-            vec[v] += c
-        vec[n_vars] = Fraction(row.rhs)
-        matrix.append(vec)
-    pivots = []
-    row_at = 0
+        rid = len(coeffs)
+        coeffs.append({v: c for v, c in row.coeffs.items() if c})
+        rhs.append(row.rhs)
+        for v in coeffs[rid]:
+            holders[v].add(rid)
+    pivot_row: dict = {}
+    used: set = set()
     for col in range(n_vars):
-        pivot = None
-        for r in range(row_at, len(matrix)):
-            if matrix[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
+        free = [r for r in holders.get(col, ()) if r not in used]
+        if not free:
             continue
-        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
-        head = matrix[row_at][col]
-        matrix[row_at] = [x / head for x in matrix[row_at]]
-        for r in range(len(matrix)):
-            if r != row_at and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_at])]
-        pivots.append(col)
-        row_at += 1
-    for r in range(row_at, len(matrix)):
-        if matrix[r][n_vars] != 0:
-            return False, pivots, []
+        p = min(free, key=lambda r: (len(coeffs[r]), r))
+        pivot_row[col] = p
+        used.add(p)
+        head = coeffs[p][col]
+        for r in list(holders[col]):
+            if r == p:
+                continue
+            f = coeffs[r][col]
+            g = gcd(head, f)
+            coeffs[r], rhs[r] = _combine(coeffs[r], rhs[r], head // g,
+                                         coeffs[p], rhs[p], f // g)
+            for v in coeffs[p]:
+                if v in coeffs[r]:
+                    holders[v].add(r)
+                else:
+                    holders[v].discard(r)
+    pivots = list(pivot_row)
+    if any(rhs[r] for r in range(len(coeffs)) if r not in used):
+        return False, pivots, []
     triangular = []
-    for vec in matrix[:row_at]:
-        coeffs = {v: vec[v] for v in range(n_vars) if vec[v] != 0}
-        triangular.append(_row_from_fraction(coeffs, vec[n_vars]))
+    for col, r in pivot_row.items():
+        sign = 1 if coeffs[r][col] > 0 else -1
+        g = sign * gcd(rhs[r], *coeffs[r].values())
+        triangular.append(_Row({v: coeffs[r][v] // g for v in sorted(coeffs[r])},
+                               rhs[r] // g, _EQ))
     return True, pivots, triangular
 
 
@@ -649,75 +689,81 @@ def validate_witness(fs: FlowSystem, witness: FlowWitness) -> list:
 # Rational feasibility (phase-1 simplex)
 
 
-def _lp_feasible(rows: list[tuple[dict, int]], n_vars: int) -> bool:
+def _lp_feasible(rows: list[tuple[dict, int]], n_vars: int) -> tuple[bool, int]:
     """Is {A x = rhs, x >= 0} feasible over the rationals?
 
-    Exact phase-1 simplex with Bland's rule (so it terminates), on
-    sparse rows.  Used to refute systems outright before the integer
-    search, which on its own can only refute by exhausting the box.
+    Returns the answer and the number of simplex pivots it took.  Exact
+    phase-1 simplex with one artificial variable per row and Bland's
+    rule (so it terminates): the entering column is the lowest-index one
+    with a negative reduced cost, and the leaving row has the minimum
+    ratio, ties going to the lowest basic variable.  Artificials that
+    leave the basis stay in the tableau and may enter again.
+
+    The arithmetic is integer and fraction-free.  Each sparse tableau
+    row stands for itself divided by an implicit positive scale, the
+    coefficient of its basic variable; the phase-1 reduced-cost row is
+    kept the same way and updated by every pivot.  Ratios rhs/entry do
+    not depend on the scale and are compared by cross-multiplication,
+    and a pivot sets row <- p*row - f*leaving_row (p, f reduced by their
+    gcd), then divides the row by the gcd of its entries.  Only signs
+    and ratios are read, so the pivots are those of the rational
+    tableau.  The system is feasible when every artificial still basic
+    has a zero right-hand side.  Used to refute systems outright before
+    the integer search, which on its own can only refute by exhausting
+    the box.
     """
     m = len(rows)
-    if m == 0:
-        return True
-    width = n_vars + m
     tab: list[dict] = []
-    rhs: list[Fraction] = []
+    rhs: list[int] = []
+    cost: dict = {}
     for r, (coeffs, b) in enumerate(rows):
         sign = -1 if b < 0 else 1
-        row = {v: Fraction(sign * c) for v, c in coeffs.items() if c}
-        row[n_vars + r] = Fraction(1)
+        row = {v: sign * c for v, c in coeffs.items() if c}
+        for v, c in row.items():
+            cost[v] = cost.get(v, 0) - c
+        row[n_vars + r] = 1
         tab.append(row)
-        rhs.append(Fraction(sign * b))
-    basis = list(range(n_vars, width))
+        rhs.append(sign * b)
+    cost = {j: d for j, d in cost.items() if d}
+    basis = list(range(n_vars, n_vars + m))
+    pivots = 0
     while True:
-        art_rows = [r for r in range(m) if basis[r] >= n_vars]
-        entering = -1
-        for j in sorted({j for r in art_rows for j in tab[r]}):
-            cost = 1 if j >= n_vars else 0
-            zj = sum(tab[r].get(j, 0) for r in art_rows)
-            if cost - zj < 0:
-                entering = j
-                break
-        if entering < 0:
+        entering = min((j for j, d in cost.items() if d < 0), default=None)
+        if entering is None:
             break
+        # A negative reduced cost needs a positive entry in some row whose
+        # basic variable is artificial, so a leaving row always exists.
         leave = -1
-        best = None
         for r in range(m):
             a = tab[r].get(entering, 0)
             if a > 0:
-                ratio = rhs[r] / a
-                if (best is None or ratio < best
-                        or (ratio == best and basis[r] < basis[leave])):
-                    best = ratio
+                if leave < 0:
                     leave = r
-        if leave < 0:
-            return True
-        pivot = tab[leave][entering]
-        new_row = {j: v / pivot for j, v in tab[leave].items()}
-        new_rhs = rhs[leave] / pivot
+                    continue
+                lhs_ratio = rhs[r] * tab[leave][entering]
+                best_ratio = rhs[leave] * a
+                if lhs_ratio < best_ratio or (lhs_ratio == best_ratio
+                                              and basis[r] < basis[leave]):
+                    leave = r
+        p = tab[leave][entering]
         for r in range(m):
-            if r == leave:
-                continue
-            factor = tab[r].get(entering)
-            if not factor:
-                continue
-            row = tab[r]
-            for j, v in new_row.items():
-                value = row.get(j, 0) - factor * v
-                if value:
-                    row[j] = value
-                else:
-                    row.pop(j, None)
-            rhs[r] -= factor * new_rhs
-        tab[leave] = new_row
-        rhs[leave] = new_rhs
+            f = tab[r].get(entering)
+            if r != leave and f:
+                g = gcd(p, f)
+                tab[r], rhs[r] = _combine(tab[r], rhs[r], p // g,
+                                          tab[leave], rhs[leave], f // g)
+        f = cost[entering]
+        g = gcd(p, f)
+        cost, _ = _combine(cost, 0, p // g, tab[leave], 0, f // g)
         basis[leave] = entering
-    residue = sum(rhs[r] for r in range(m) if basis[r] >= n_vars)
-    return residue == 0
+        pivots += 1
+    feasible = all(rhs[r] == 0 for r in range(m) if basis[r] >= n_vars)
+    return feasible, pivots
 
 
-def _problem_lp_feasible(problem: "_Problem") -> bool:
-    """Rational relaxation of an assembled system, lower bounds included.
+def _problem_lp_feasible(problem: "_Problem") -> tuple[bool, int]:
+    """Rational relaxation of an assembled system, lower bounds included,
+    with the simplex pivots it took.
 
     A negative answer proves the integer system infeasible without any
     search; a positive one hands over to the branch-and-bound."""
@@ -734,12 +780,14 @@ def _problem_lp_feasible(problem: "_Problem") -> bool:
     return _lp_feasible(rows, n + slacks)
 
 
-def _growth_circulation_possible(kept, balance_pairs, growth_class) -> bool:
+def _growth_circulation_possible(kept, balance_pairs,
+                                 growth_class) -> tuple[bool, int]:
     """Can any nonnegative balanced circulation use the growth class?
 
     Checks rational feasibility of {conservation, balance, growth = 1}
     over the kept edges; scaling makes this equivalent to growth >= 1.
-    A negative answer rules out every pump witness.
+    A negative answer rules out every pump witness.  Also returns the
+    simplex pivots the check took.
     """
     index = {e.eid: i for i, e in enumerate(kept)}
     rows: list[tuple[dict, int]] = []
@@ -764,7 +812,7 @@ def _growth_circulation_possible(kept, balance_pairs, growth_class) -> bool:
             rows.append((coeffs, 0))
     growth = {index[e.eid]: 1 for e in kept if growth_class in e.classes}
     if not growth:
-        return False
+        return False, 0
     rows.append((growth, 1))
     return _lp_feasible(rows, len(kept))
 
@@ -781,7 +829,8 @@ def solve(fs: FlowSystem, node_budget: int = DEFAULT_NODE_BUDGET,
     carrying the reason and the search-box note that makes the negative
     answer auditable.  Raises ResourceBudgetError when the budget runs
     out before either conclusion.  When stats is a dict, the number of
-    search nodes expanded is written to stats['nodes']; poll, when
+    search nodes expanded is written to stats['nodes'] and the simplex
+    pivots of the rational relaxation to stats['lp_pivots']; poll, when
     given, is called once per expanded node and may raise to cancel."""
     trimmed = _trim(fs)
     if trimmed is None:
@@ -799,7 +848,10 @@ def solve(fs: FlowSystem, node_budget: int = DEFAULT_NODE_BUDGET,
                 f"no usable edge carries class {fs.positive_class!r}", box, note)
 
     problem, _ = _assemble(fs, kept, kept_sinks, False, None)
-    if not _problem_lp_feasible(problem):
+    feasible, lp_pivots = _problem_lp_feasible(problem)
+    if stats is not None:
+        stats["lp_pivots"] = lp_pivots
+    if not feasible:
         return Infeasible("the balance and conservation constraints admit no "
                           "fractional solution", problem.box, problem.note)
     search = _Search(problem, node_budget, poll)
@@ -842,7 +894,8 @@ def solve_unbounded(fs: FlowSystem, growth_class: str,
     pair level, and uses the growth class at least once, so adding it to
     the base walk any number of times yields ever-larger valid walks.
     When stats is a dict, the number of search nodes expanded is written
-    to stats['nodes']; poll, when given, is called once per expanded
+    to stats['nodes'] and the simplex pivots of the rational relaxations
+    to stats['lp_pivots']; poll, when given, is called once per expanded
     node and may raise to cancel."""
     trimmed = _trim(fs)
     if trimmed is None:
@@ -855,10 +908,15 @@ def solve_unbounded(fs: FlowSystem, growth_class: str,
             return None
     if not any(growth_class in e.classes for e in kept):
         return None
-    if not _growth_circulation_possible(kept, fs.balance_pairs, growth_class):
-        return None
-    walk_problem, _ = _assemble(fs, kept, kept_sinks, False, None)
-    if not _problem_lp_feasible(walk_problem):
+    possible, lp_pivots = _growth_circulation_possible(
+        kept, fs.balance_pairs, growth_class)
+    if possible:
+        walk_problem, _ = _assemble(fs, kept, kept_sinks, False, None)
+        possible, pivots = _problem_lp_feasible(walk_problem)
+        lp_pivots += pivots
+    if stats is not None:
+        stats["lp_pivots"] = lp_pivots
+    if not possible:
         return None
 
     problem, z_of_edge = _assemble(fs, kept, kept_sinks, True, growth_class)

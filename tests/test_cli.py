@@ -1,0 +1,42 @@
+"""Exit codes of the `ncm` command line.
+
+0 means the question was answered, 2 flags bad input and 3 means the
+resource budget ran out before an answer.
+"""
+
+import pytest
+
+from ncmkit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+
+from conftest import fixture_path
+
+ANBN = fixture_path("anbn.ncm")
+
+
+def run(argv) -> int:
+    """The exit status of `ncm argv`, also when argparse exits early."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+def test_answered_query_exits_0(capsys):
+    assert run(["member", ANBN, "ab"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("answer=yes ")
+
+
+def test_missing_file_exits_2(capsys, tmp_path):
+    assert run(["member", str(tmp_path / "absent.ncm"), "ab"]) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_1_exits_2(capsys, budget):
+    assert run(["empty", ANBN, f"--budget={budget}"]) == EXIT_INPUT
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_exhausted_budget_exits_3(capsys):
+    assert run(["infinite", ANBN, "--budget", "1"]) == EXIT_BUDGET
+    assert "budget" in capsys.readouterr().err

@@ -8,9 +8,14 @@ find.
 
 import random
 from collections import Counter
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ncmkit import flows
 from ncmkit.flows import (
     DEFAULT_NODE_BUDGET,
     FlowEdge,
@@ -27,7 +32,7 @@ from ncmkit.machine import load_machine
 from ncmkit.nfa import ResourceBudgetError
 from ncmkit.phase import INPUT_CLASS, phase_automaton, to_flow_system
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def two_node_system() -> FlowSystem:
@@ -295,3 +300,245 @@ class TestValidation:
             dict(witness.multiplicities, b=5), witness.walk,
             witness.sink, witness.box_bound, witness.bound_note)
         assert validate_witness(fs, bumped) != []
+
+
+# ---------------------------------------------------------------------------
+# The exact linear algebra against dense rational references.
+#
+# The two functions below are the dense Fraction versions of
+# flows._eliminate and flows._lp_feasible that the sparse integer ones
+# replaced, kept as references; the simplex also counts its pivots.
+# The sparse routines must give the same pivots, the same rows with the
+# same coefficient order, the same answers and the same pivot counts.
+
+
+def _reference_row(coeffs: dict, rhs: Fraction) -> flows._Row:
+    denominators = [c.denominator for c in coeffs.values()] + [rhs.denominator]
+    scale = 1
+    for d in denominators:
+        scale = scale * d // gcd(scale, d)
+    out = {v: int(c * scale) for v, c in coeffs.items() if c != 0}
+    return flows._Row(out, int(rhs * scale), flows._EQ)
+
+
+def reference_eliminate(rows, n_vars: int):
+    matrix = []
+    for row in rows:
+        if row.kind != flows._EQ:
+            continue
+        vec = [Fraction(0)] * (n_vars + 1)
+        for v, c in row.coeffs.items():
+            vec[v] += c
+        vec[n_vars] = Fraction(row.rhs)
+        matrix.append(vec)
+    pivots = []
+    row_at = 0
+    for col in range(n_vars):
+        pivot = None
+        for r in range(row_at, len(matrix)):
+            if matrix[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        matrix[row_at], matrix[pivot] = matrix[pivot], matrix[row_at]
+        head = matrix[row_at][col]
+        matrix[row_at] = [x / head for x in matrix[row_at]]
+        for r in range(len(matrix)):
+            if r != row_at and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_at])]
+        pivots.append(col)
+        row_at += 1
+    for r in range(row_at, len(matrix)):
+        if matrix[r][n_vars] != 0:
+            return False, pivots, []
+    triangular = []
+    for vec in matrix[:row_at]:
+        coeffs = {v: vec[v] for v in range(n_vars) if vec[v] != 0}
+        triangular.append(_reference_row(coeffs, vec[n_vars]))
+    return True, pivots, triangular
+
+
+def reference_lp_feasible(rows, n_vars: int):
+    m = len(rows)
+    if m == 0:
+        return True, 0
+    width = n_vars + m
+    tab: list = []
+    rhs: list = []
+    for r, (coeffs, b) in enumerate(rows):
+        sign = -1 if b < 0 else 1
+        row = {v: Fraction(sign * c) for v, c in coeffs.items() if c}
+        row[n_vars + r] = Fraction(1)
+        tab.append(row)
+        rhs.append(Fraction(sign * b))
+    basis = list(range(n_vars, width))
+    pivots = 0
+    while True:
+        art_rows = [r for r in range(m) if basis[r] >= n_vars]
+        entering = -1
+        for j in sorted({j for r in art_rows for j in tab[r]}):
+            cost = 1 if j >= n_vars else 0
+            zj = sum(tab[r].get(j, 0) for r in art_rows)
+            if cost - zj < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leave = -1
+        best = None
+        for r in range(m):
+            a = tab[r].get(entering, 0)
+            if a > 0:
+                ratio = rhs[r] / a
+                if (best is None or ratio < best
+                        or (ratio == best and basis[r] < basis[leave])):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            return True, pivots
+        pivot = tab[leave][entering]
+        new_row = {j: v / pivot for j, v in tab[leave].items()}
+        new_rhs = rhs[leave] / pivot
+        for r in range(m):
+            if r == leave:
+                continue
+            factor = tab[r].get(entering)
+            if not factor:
+                continue
+            row = tab[r]
+            for j, v in new_row.items():
+                value = row.get(j, 0) - factor * v
+                if value:
+                    row[j] = value
+                else:
+                    row.pop(j, None)
+            rhs[r] -= factor * new_rhs
+        tab[leave] = new_row
+        rhs[leave] = new_rhs
+        basis[leave] = entering
+        pivots += 1
+    residue = sum(rhs[r] for r in range(m) if basis[r] >= n_vars)
+    return residue == 0, pivots
+
+
+def echelon(result):
+    """An elimination result with each row's coefficient order spelled out."""
+    consistent, pivots, rows = result
+    return consistent, pivots, [(list(r.coeffs.items()), r.rhs, r.kind) for r in rows]
+
+
+@st.composite
+def linear_rows(draw, kinds=(flows._EQ, flows._GE)):
+    """Small systems: non-unit and negative coefficients, explicit zero
+    entries, negative right-hand sides, all-zero rows, inequality rows."""
+    n_vars = draw(st.integers(1, 6))
+    coeffs = st.dictionaries(st.integers(0, n_vars - 1), st.integers(-4, 4),
+                             max_size=n_vars)
+    rows = draw(st.lists(st.builds(flows._Row, coeffs, st.integers(-5, 5),
+                                   st.sampled_from(kinds)), max_size=8))
+    return rows, n_vars
+
+
+INCONSISTENT = (
+    [flows._Row({0: 1, 1: 1}, 1, flows._EQ), flows._Row({0: 2, 1: 2}, 3, flows._EQ)],
+    2,
+)
+ZERO_ROWS = (
+    [flows._Row({0: 0}, 0, flows._EQ), flows._Row({1: -3}, -6, flows._EQ),
+     flows._Row({}, 4, flows._GE)],
+    2,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_rows())
+@example(INCONSISTENT)
+@example(ZERO_ROWS)
+def test_eliminate_matches_dense_reference(system):
+    rows, n_vars = system
+    assert echelon(flows._eliminate(rows, n_vars)) == \
+        echelon(reference_eliminate(rows, n_vars))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_rows(kinds=(flows._EQ,)))
+@example(([], 1))
+@example(INCONSISTENT)
+@example(ZERO_ROWS)
+def test_lp_feasible_matches_dense_reference(system):
+    rows, n_vars = system
+    lp_rows = [(row.coeffs, row.rhs) for row in rows]
+    assert flows._lp_feasible(lp_rows, n_vars) == \
+        reference_lp_feasible(lp_rows, n_vars)
+
+
+def fixture_systems():
+    """(name, flow system, kept edges, growth class, assembled problem)
+    for every fixture, without the pump circulation (growth class None)
+    and with it."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.ncm")):
+        fs = to_flow_system(phase_automaton(load_machine(str(path))))
+        kept, kept_sinks = flows._trim(fs)
+        for growth in (None, INPUT_CLASS):
+            problem, _ = flows._assemble(fs, kept, kept_sinks,
+                                         growth is not None, growth)
+            out.append((f"{path.stem}/{growth}", fs, kept, growth, problem))
+    return out
+
+
+def record_lp_systems(monkeypatch):
+    """Make every _lp_feasible call append (rows, n_vars, result)."""
+    seen = []
+    real = flows._lp_feasible
+
+    def spy(rows, n_vars):
+        result = real(rows, n_vars)
+        seen.append(([(dict(c), b) for c, b in rows], n_vars, result))
+        return result
+
+    monkeypatch.setattr(flows, "_lp_feasible", spy)
+    return seen
+
+
+SYSTEMS = fixture_systems()
+on_fixture_systems = pytest.mark.parametrize(
+    "name, fs, kept, growth, problem", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+
+
+class TestExactAlgebraOnFixtures:
+    def test_every_fixture_is_covered(self):
+        assert len(SYSTEMS) == 2 * len(list(FIXTURES.glob("*.ncm"))) > 0
+
+    @on_fixture_systems
+    def test_eliminate(self, name, fs, kept, growth, problem):
+        n_vars = len(problem.var_names)
+        assert echelon(flows._eliminate(problem.rows, n_vars)) == \
+            echelon(reference_eliminate(problem.rows, n_vars))
+
+    @on_fixture_systems
+    def test_lp_feasible(self, monkeypatch, name, fs, kept, growth, problem):
+        seen = record_lp_systems(monkeypatch)
+        flows._problem_lp_feasible(problem)
+        if growth is not None:
+            flows._growth_circulation_possible(kept, fs.balance_pairs, growth)
+        assert seen
+        for rows, n_vars, result in seen:
+            assert result == reference_lp_feasible(rows, n_vars)
+
+    @on_fixture_systems
+    def test_stats_count_lp_pivots(self, monkeypatch, name, fs, kept, growth,
+                                   problem):
+        seen = record_lp_systems(monkeypatch)
+        stats: dict = {}
+        try:
+            if growth is None:
+                solve(fs, node_budget=50, stats=stats)
+            else:
+                solve_unbounded(fs, growth, node_budget=50, stats=stats)
+        except ResourceBudgetError:
+            pass
+        assert seen
+        assert stats["lp_pivots"] == sum(pivots for _, _, (_, pivots) in seen)
