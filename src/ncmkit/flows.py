@@ -7,10 +7,13 @@ class used at least once.  solve() decides feasibility exactly with
 integer arithmetic: an exact phase-1 simplex refutes systems with no
 rational solution, Gauss-Jordan elimination of the conservation/balance
 equations checks their consistency and adds one row per pivot variable,
-intervals are propagated to a fixpoint with divisibility checks, and a
-best-first branch-and-bound (splitting variable intervals, bounded by
-the standard small-solution box for integer linear systems) searches for
-a usable assignment.  Walks must have connected, source-anchored
+and a best-first branch-and-bound (splitting variable intervals, bounded
+by the standard small-solution box for integer linear systems) searches
+for a usable assignment.  At each search node the variable intervals are
+tightened against the rows, with divisibility checks, until nothing
+changes; the tightening revisits only the rows whose variables moved,
+so a node whose parent reached that fixpoint starts from the rows of its
+branch variable alone.  Walks must have connected, source-anchored
 support; assignments that fail this are excluded by forbidding their
 exact support pattern and continuing.
 
@@ -32,6 +35,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 
 from .nfa import ResourceBudgetError
 
@@ -210,78 +214,112 @@ def _eliminate(rows: list[_Row], n_vars: int):
 # Interval propagation
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+_CONTRADICTION = "contradiction"
+_FIXPOINT = "fixpoint"
+_CAPPED = "capped"
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
+def _occurrences(rows: list[_Row], n_vars: int) -> list[int]:
+    """For each variable, the set of rows holding it as a bit mask
+    (bit i for rows[i])."""
+    occurs = [0] * n_vars
+    for i, row in enumerate(rows):
+        for v in row.coeffs:
+            occurs[v] |= 1 << i
+    return occurs
 
 
-def _propagate(rows: list[_Row], intervals: list, sweeps: int = 60) -> bool:
-    """Tighten [lo, hi] intervals against the rows; False on contradiction."""
+def _propagate(rows: list[_Row], occurs: list[int], intervals: list,
+               dirty: int | None = None, sweeps: int = 60):
+    """Tighten [lo, hi] intervals against the rows, in place.
+
+    Returns (outcome, moved, visits): outcome is _CONTRADICTION,
+    _FIXPOINT, or _CAPPED when the sweep limit came first; moved is the
+    set of variables whose interval changed and visits the number of
+    row visits made.  dirty is a bit mask of the rows to visit first
+    (None: all of them); occurs is _occurrences(rows, n_vars).
+
+    The rows are swept in order, Gauss-Seidel style, but a row is
+    visited only while dirty: at the start, or once one of its
+    variables has changed since its last visit, including changes that
+    visit made itself.  A row visit reads nothing but the intervals of
+    the row's variables, and a visit that changed nothing and found no
+    contradiction does the same again on the same intervals.  So a
+    skipped row is one that would have changed nothing and passed,
+    and the sweeps go exactly as visiting every row would go: the same
+    intervals, the same contradictions and the same number of sweeps.
+    A fixpoint with one interval narrowed therefore needs only the rows
+    of that variable dirty.
+    """
+    todo = (1 << len(rows)) - 1 if dirty is None else dirty
+    moved: set = set()
+    visits = 0
     for _ in range(sweeps):
-        changed = False
-        for row in rows:
+        later = 0
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            row = rows[bit.bit_length() - 1]
+            visits += 1
+            rhs = row.rhs
+            eq = row.kind == _EQ
             lo_sum = 0
             hi_sum = 0
+            fixed_part = 0
+            g = 0
             for v, c in row.coeffs.items():
                 lo, hi = intervals[v]
-                if c >= 0:
+                if lo == hi:
+                    fixed_part += c * lo
+                    lo_sum += c * lo
+                    hi_sum += c * lo
+                elif c > 0:
                     lo_sum += c * lo
                     hi_sum += c * hi
+                    g = gcd(g, c)
                 else:
                     lo_sum += c * hi
                     hi_sum += c * lo
-            if row.kind == _EQ:
-                if row.rhs < lo_sum or row.rhs > hi_sum:
-                    return False
-                g = 0
-                fixed_part = 0
-                any_unfixed = False
-                for v, c in row.coeffs.items():
-                    if intervals[v][0] == intervals[v][1]:
-                        fixed_part += c * intervals[v][0]
-                    else:
-                        any_unfixed = True
-                        g = gcd(g, abs(c))
-                if not any_unfixed:
-                    if fixed_part != row.rhs:
-                        return False
-                elif g and (row.rhs - fixed_part) % g != 0:
-                    return False
-            else:
-                if hi_sum < row.rhs:
-                    return False
+                    g = gcd(g, c)
+            if hi_sum < rhs:
+                return _CONTRADICTION, moved, visits
+            if eq and (rhs < lo_sum or (g and (rhs - fixed_part) % g)):
+                return _CONTRADICTION, moved, visits
+            touched = 0
             for v, c in row.coeffs.items():
                 lo, hi = intervals[v]
-                if c >= 0:
+                if lo == hi:
+                    # rhs lies between the sums, so a fixed value fits
+                    continue
+                # the other terms sum to [rest_lo, rest_hi], so c*y must
+                # land in [rhs - rest_hi, rhs - rest_lo] for equality
+                # rows, and at least rhs - rest_hi for >= rows; -(-a // c)
+                # is a/c rounded up
+                if c > 0:
                     rest_lo = lo_sum - c * lo
                     rest_hi = hi_sum - c * hi
+                    new_lo = max(lo, -((rest_hi - rhs) // c))
+                    new_hi = min(hi, (rhs - rest_lo) // c) if eq else hi
                 else:
                     rest_lo = lo_sum - c * hi
                     rest_hi = hi_sum - c * lo
-                # c*y must land in [rhs - rest_hi, rhs - rest_lo] for
-                # equality rows, and at least rhs - rest_hi for >= rows.
-                needed_low = row.rhs - rest_hi
-                if c > 0:
-                    new_lo = max(lo, _ceil_div(needed_low, c))
-                    new_hi = hi
-                    if row.kind == _EQ:
-                        new_hi = min(hi, _floor_div(row.rhs - rest_lo, c))
-                else:
-                    new_hi = min(hi, _floor_div(needed_low, c))
-                    new_lo = lo
-                    if row.kind == _EQ:
-                        new_lo = max(lo, _ceil_div(row.rhs - rest_lo, c))
+                    new_hi = min(hi, (rhs - rest_hi) // c)
+                    new_lo = max(lo, -((rest_lo - rhs) // c)) if eq else lo
                 if new_lo > new_hi:
-                    return False
-                if (new_lo, new_hi) != (lo, hi):
+                    return _CONTRADICTION, moved, visits
+                if new_lo != lo or new_hi != hi:
                     intervals[v] = (new_lo, new_hi)
-                    changed = True
-        if not changed:
-            return True
-    return True
+                    moved.add(v)
+                    touched |= occurs[v]
+            if touched:
+                # rows after this one are still to come in this sweep;
+                # this row and the ones before it wait for the next
+                todo |= touched & -(bit << 1)
+                later |= touched & ((bit << 1) - 1)
+        if not later:
+            return _FIXPOINT, moved, visits
+        todo = later
+    return _CAPPED, moved, visits
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +534,21 @@ class _Search:
         self.budget = node_budget
         self.poll = poll
         self.used = 0
+        self.row_visits = 0
         consistent, pivots, triangular = _eliminate(problem.rows, len(problem.var_names))
         self.consistent = consistent
         self.pivot_rows = triangular
         pivot_set = set(pivots)
         self.branch_vars = [v for v in problem.branch_order if v not in pivot_set]
         self.rows = _dedup_rows(problem.rows + triangular)
+        self.occurs = _occurrences(self.rows, len(problem.var_names))
+        self.real_set = frozenset(problem.real_vars)
         self.forbidden: set = set()
 
     def _priority(self, intervals) -> int:
-        return sum(intervals[v][0] for v in self.p.real_vars)
+        """The sum of the counted variables' lower bounds."""
+        lows = map(itemgetter(0), map(intervals.__getitem__, self.p.real_vars))
+        return sum(lows)
 
     def _leaf_values(self, intervals):
         """Pin pivot variables by back-substitution; None if impossible."""
@@ -548,23 +591,43 @@ class _Search:
         return values
 
     def run(self, accept):
-        """Best-first search; accept(values) returns a result or None."""
+        """Best-first search; accept(values) returns a result or None.
+
+        An expanded node's intervals after propagation are kept as a
+        frame (parent frame, variables, intervals): the variables that
+        branching and propagation moved from the parent frame, with
+        their new intervals, interned per search.  A queued node is a
+        frame plus its branch variable's new interval.  Storing whole
+        interval lists instead would hold a copy of every variable's
+        box-sized bound per queued node, which fills memory in a
+        time-limited search that expands thousands of nodes."""
         if not self.consistent:
             return None
-        base = [(self.p.lowers[i], self.p.box) for i in range(len(self.p.var_names))]
+        interned: dict = {}
+
+        def intern(interval):
+            return interned.setdefault(interval, interval)
+
+        base = tuple(intern((lo, self.p.box)) for lo in self.p.lowers)
         counter = itertools.count()
-        start = [tuple(iv) for iv in base]
-        heap = [(self._priority(start), next(counter), start)]
+        # (priority, tie-break, frame, branch var, its interval, dirty rows)
+        heap = [(self._priority(base), next(counter), (None, None, base),
+                 None, None, None)]
         while heap:
-            _, _, frozen = heapq.heappop(heap)
+            _, _, frame, var, iv, dirty = heapq.heappop(heap)
             self.used += 1
             if self.used > self.budget:
                 raise ResourceBudgetError(
                     f"flow search exceeded its node budget of {self.budget}")
             if self.poll is not None:
                 self.poll()
-            intervals = list(frozen)
-            if not _propagate(self.rows, intervals):
+            intervals = _unfold(frame)
+            if var is not None:
+                intervals[var] = iv
+            outcome, moved, visits = _propagate(self.rows, self.occurs,
+                                                intervals, dirty)
+            self.row_visits += visits
+            if outcome == _CONTRADICTION:
                 continue
             branch_var = None
             for v in self.branch_vars:
@@ -579,17 +642,35 @@ class _Search:
                 if result is not None:
                     return result
                 continue
+            if var is not None:
+                moved.add(var)
+            frame = (frame, tuple(moved),
+                     tuple(intern(intervals[v]) for v in moved))
+            # a fixpoint narrowed in the branch variable only needs that
+            # variable's rows revisited; a capped one needs all of them
+            dirty = self.occurs[branch_var] if outcome == _FIXPOINT else None
+            priority = self._priority(intervals)
             lo, hi = intervals[branch_var]
-            fixed = list(intervals)
-            fixed[branch_var] = (lo, lo)
-            heapq.heappush(heap, (self._priority(fixed), next(counter),
-                                  [tuple(iv) for iv in fixed]))
-            if lo + 1 <= hi:
-                raised = list(intervals)
-                raised[branch_var] = (lo + 1, hi)
-                heapq.heappush(heap, (self._priority(raised), next(counter),
-                                      [tuple(iv) for iv in raised]))
+            heapq.heappush(heap, (priority, next(counter), frame, branch_var,
+                                  intern((lo, lo)), dirty))
+            heapq.heappush(heap, (priority + (branch_var in self.real_set),
+                                  next(counter), frame, branch_var,
+                                  intern((lo + 1, hi)), dirty))
         return None
+
+
+def _unfold(frame) -> list:
+    """The interval list a search frame stands for: its root's intervals
+    with every frame's moves applied, outermost first."""
+    chain = []
+    while frame[0] is not None:
+        chain.append(frame)
+        frame = frame[0]
+    intervals = list(frame[2])
+    for _, moved, ivs in reversed(chain):
+        for v, iv in zip(moved, ivs):
+            intervals[v] = iv
+    return intervals
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +910,8 @@ def solve(fs: FlowSystem, node_budget: int = DEFAULT_NODE_BUDGET,
     carrying the reason and the search-box note that makes the negative
     answer auditable.  Raises ResourceBudgetError when the budget runs
     out before either conclusion.  When stats is a dict, the number of
-    search nodes expanded is written to stats['nodes'] and the simplex
+    search nodes expanded is written to stats['nodes'], the row visits of
+    their interval propagation to stats['row_visits'] and the simplex
     pivots of the rational relaxation to stats['lp_pivots']; poll, when
     given, is called once per expanded node and may raise to cancel."""
     trimmed = _trim(fs)
@@ -875,6 +957,7 @@ def solve(fs: FlowSystem, node_budget: int = DEFAULT_NODE_BUDGET,
     finally:
         if stats is not None:
             stats["nodes"] = search.used
+            stats["row_visits"] = search.row_visits
     if witness is None:
         return Infeasible("the balance and conservation constraints admit no "
                           "usable assignment", problem.box, problem.note)
@@ -894,9 +977,10 @@ def solve_unbounded(fs: FlowSystem, growth_class: str,
     pair level, and uses the growth class at least once, so adding it to
     the base walk any number of times yields ever-larger valid walks.
     When stats is a dict, the number of search nodes expanded is written
-    to stats['nodes'] and the simplex pivots of the rational relaxations
-    to stats['lp_pivots']; poll, when given, is called once per expanded
-    node and may raise to cancel."""
+    to stats['nodes'], the row visits of their interval propagation to
+    stats['row_visits'] and the simplex pivots of the rational
+    relaxations to stats['lp_pivots']; poll, when given, is called once
+    per expanded node and may raise to cancel."""
     trimmed = _trim(fs)
     if trimmed is None:
         return None
@@ -947,6 +1031,7 @@ def solve_unbounded(fs: FlowSystem, growth_class: str,
     finally:
         if stats is not None:
             stats["nodes"] = search.used
+            stats["row_visits"] = search.row_visits
     if result is None:
         return None
     problems = validate_witness(fs, result.base)

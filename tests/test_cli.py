@@ -1,8 +1,10 @@
-"""Exit codes of the `ncm` command line.
+"""Exit codes and structured output of the `ncm` command line.
 
 0 means the question was answered, 2 flags bad input and 3 means the
 resource budget ran out before an answer.
 """
+
+import json
 
 import pytest
 
@@ -40,3 +42,26 @@ def test_budget_below_1_exits_2(capsys, budget):
 def test_exhausted_budget_exits_3(capsys):
     assert run(["infinite", ANBN, "--budget", "1"]) == EXIT_BUDGET
     assert "budget" in capsys.readouterr().err
+
+
+# budget_used counts the flow-search nodes a verdict took, so these
+# figures pin the search itself: a faster search must expand the same
+# nodes in the same order to answer with the same witnesses.
+SEARCHES = [
+    (["infinite", fixture_path("aibjcidj.ncm")], True, 2015),
+    (["infinite", fixture_path("ex3.ncm")], True, 1498),
+    (["infinite", fixture_path("ex2.ncm")], True, 3384),
+    (["infinite", fixture_path("ex4a-m1.ncm")], True, 4682),
+    (["empty", fixture_path("ex2.ncm")], False, 1224),
+]
+
+
+@pytest.mark.parametrize("argv, answer, budget_used", SEARCHES,
+                         ids=[" ".join(a[:1] + [a[1].rsplit("/", 1)[-1]])
+                              for a, _, _ in SEARCHES])
+def test_structured_verdict(capsys, argv, answer, budget_used):
+    assert run([*argv, "--format", "structured"]) == EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)
+    assert set(verdict) == {"answer", "witness", "certificate", "budget_used"}
+    assert verdict["answer"] is answer
+    assert verdict["budget_used"] == budget_used

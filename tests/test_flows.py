@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ncmkit import flows
@@ -542,3 +542,342 @@ class TestExactAlgebraOnFixtures:
             pass
         assert seen
         assert stats["lp_pivots"] == sum(pivots for _, _, (_, pivots) in seen)
+
+
+# ---------------------------------------------------------------------------
+# Interval propagation against the full-sweep reference.
+#
+# reference_propagate is the propagation that flows._propagate replaced:
+# it sweeps every row in order until a sweep changes nothing, without
+# tracking which rows could change.  It is kept as a reference, with a
+# counter of row visits and sweeps added.  The event-driven propagation
+# skips only rows that would change nothing, so from the same intervals
+# both must end with the same intervals, also when they stop at a
+# contradiction or at the sweep cap.
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def _floor_div(a: int, b: int) -> int:
+    return a // b
+
+
+def reference_propagate(rows, intervals: list, sweeps: int = 60,
+                        counts: dict | None = None) -> bool:
+    """Tighten [lo, hi] intervals against the rows; False on contradiction.
+
+    counts, when given, gets the row visits ('visits') and the sweeps
+    begun ('sweeps')."""
+    if counts is not None:
+        counts.setdefault("visits", 0)
+        counts.setdefault("sweeps", 0)
+    for _ in range(sweeps):
+        changed = False
+        if counts is not None:
+            counts["sweeps"] += 1
+        for row in rows:
+            if counts is not None:
+                counts["visits"] += 1
+            lo_sum = 0
+            hi_sum = 0
+            for v, c in row.coeffs.items():
+                lo, hi = intervals[v]
+                if c >= 0:
+                    lo_sum += c * lo
+                    hi_sum += c * hi
+                else:
+                    lo_sum += c * hi
+                    hi_sum += c * lo
+            if row.kind == flows._EQ:
+                if row.rhs < lo_sum or row.rhs > hi_sum:
+                    return False
+                g = 0
+                fixed_part = 0
+                any_unfixed = False
+                for v, c in row.coeffs.items():
+                    if intervals[v][0] == intervals[v][1]:
+                        fixed_part += c * intervals[v][0]
+                    else:
+                        any_unfixed = True
+                        g = gcd(g, abs(c))
+                if not any_unfixed:
+                    if fixed_part != row.rhs:
+                        return False
+                elif g and (row.rhs - fixed_part) % g != 0:
+                    return False
+            else:
+                if hi_sum < row.rhs:
+                    return False
+            for v, c in row.coeffs.items():
+                lo, hi = intervals[v]
+                if c >= 0:
+                    rest_lo = lo_sum - c * lo
+                    rest_hi = hi_sum - c * hi
+                else:
+                    rest_lo = lo_sum - c * hi
+                    rest_hi = hi_sum - c * lo
+                needed_low = row.rhs - rest_hi
+                if c > 0:
+                    new_lo = max(lo, _ceil_div(needed_low, c))
+                    new_hi = hi
+                    if row.kind == flows._EQ:
+                        new_hi = min(hi, _floor_div(row.rhs - rest_lo, c))
+                else:
+                    new_hi = min(hi, _floor_div(needed_low, c))
+                    new_lo = lo
+                    if row.kind == flows._EQ:
+                        new_lo = max(lo, _ceil_div(row.rhs - rest_lo, c))
+                if new_lo > new_hi:
+                    return False
+                if (new_lo, new_hi) != (lo, hi):
+                    intervals[v] = (new_lo, new_hi)
+                    changed = True
+        if not changed:
+            return True
+    return True
+
+
+# About the size of the search box of the larger fixtures (1,673 bits).
+HUGE = 2 ** 1672 + 12345
+
+
+@st.composite
+def propagation_systems(draw, shifted=True, min_vars=1):
+    """Rows with negative and non-unit coefficients (never zero: the
+    assembled rows hold none), _EQ and _GE rows, and intervals of which
+    some are fixed and some reach up to a huge bound.  The right-hand
+    sides come from a point inside the intervals, so that the system is
+    feasible; with shifted, some are moved off it."""
+    n_vars = draw(st.integers(min_vars, 6))
+    intervals, point = [], []
+    for _ in range(n_vars):
+        lo = draw(st.integers(0, 5))
+        hi = draw(st.one_of(st.just(lo), st.integers(lo, lo + 8), st.just(HUGE)))
+        intervals.append((lo, hi))
+        point.append(draw(st.integers(lo, min(hi, lo + 8))))
+    coeff = st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, max(n_vars, 8 if shifted else 4)))):
+        coeffs = draw(st.dictionaries(st.integers(0, n_vars - 1), coeff,
+                                      min_size=1, max_size=n_vars))
+        kind = draw(st.sampled_from((flows._EQ, flows._GE)))
+        value = sum(c * point[v] for v, c in coeffs.items())
+        shift = draw(st.one_of(st.just(0), st.integers(-3, 3))) if shifted else 0
+        if kind == flows._GE:
+            shift -= draw(st.integers(0, 3))
+        rows.append(flows._Row(coeffs, value + shift, kind))
+    return rows, n_vars, intervals
+
+
+def event_propagate(rows, n_vars, intervals, dirty_vars=None, sweeps=60):
+    """flows._propagate on a copy of intervals, with the rows of
+    dirty_vars dirty (all rows when None): (outcome, moved, visits,
+    final intervals)."""
+    occurs = flows._occurrences(rows, n_vars)
+    dirty = None
+    if dirty_vars is not None:
+        dirty = 0
+        for v in dirty_vars:
+            dirty |= occurs[v]
+    out = list(intervals)
+    outcome, moved, visits = flows._propagate(rows, occurs, out, dirty, sweeps)
+    return outcome, moved, visits, out
+
+
+# x0 - x1 = 1 and x0 - x1 = 0 contradict each other, but within huge
+# bounds every sweep only takes 1 off each side of both intervals.
+SLOW = ([flows._Row({0: 1, 1: -1}, 1, flows._EQ),
+         flows._Row({0: 1, 1: -1}, 0, flows._EQ)], 2, [(0, HUGE), (0, HUGE)])
+
+
+# Sweep caps: small ones stop most systems in mid-propagation, where the
+# intervals depend on the order of the row visits, not only on the rows.
+CAPS = st.sampled_from((1, 2, 3, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(propagation_systems(), CAPS)
+@example(SLOW, 60)
+def test_propagate_matches_sweep_reference(system, sweeps):
+    rows, n_vars, intervals = system
+    expected = list(intervals)
+    counts: dict = {}
+    feasible = reference_propagate(rows, expected, sweeps, counts)
+    outcome, moved, visits, got = event_propagate(rows, n_vars, intervals,
+                                                  sweeps=sweeps)
+    assert (outcome != flows._CONTRADICTION) == feasible
+    assert got == expected
+    assert moved == {v for v in range(n_vars) if got[v] != intervals[v]}
+    assert visits <= counts["visits"]
+    if outcome == flows._FIXPOINT:
+        # one more full sweep changes nothing
+        again = list(got)
+        assert reference_propagate(rows, again, sweeps=1)
+        assert again == got
+    elif outcome == flows._CAPPED:
+        assert counts["sweeps"] == sweeps
+
+
+@settings(max_examples=300, deadline=None)
+@given(propagation_systems(shifted=False, min_vars=2), CAPS, st.data())
+def test_incremental_propagation_matches_full_reference(system, sweeps, data):
+    """From a fixpoint, narrowing one variable and revisiting only its
+    rows gives what full sweeps give, sweep for sweep."""
+    rows, n_vars, intervals = system
+    fixpoint = list(intervals)
+    counts: dict = {}
+    assume(reference_propagate(rows, fixpoint, counts=counts))
+    assume(counts["sweeps"] < 60)
+    open_vars = [v for v in range(n_vars) if fixpoint[v][0] < fixpoint[v][1]]
+    assume(open_vars)
+    v = data.draw(st.sampled_from(open_vars))
+    lo, hi = fixpoint[v]
+    step = data.draw(st.integers(0, min(hi - lo - 1, 10)))
+    narrowed = list(fixpoint)
+    narrowed[v] = data.draw(st.sampled_from(
+        ((lo + step, lo + step), (lo + 1 + step, hi), (lo, hi - 1 - step))))
+    expected = list(narrowed)
+    feasible = reference_propagate(rows, expected, sweeps)
+    outcome, _, _, got = event_propagate(rows, n_vars, narrowed, [v], sweeps)
+    assert (outcome != flows._CONTRADICTION) == feasible
+    assert got == expected
+
+
+def test_sweep_cap_and_all_dirty_restart():
+    rows, n_vars, intervals = SLOW
+    expected = list(intervals)
+    assert reference_propagate(rows, expected, sweeps=3)
+    outcome, moved, _, got = event_propagate(rows, n_vars, intervals, sweeps=3)
+    assert outcome == flows._CAPPED
+    assert moved == {0, 1}
+    assert got == expected == [(3, HUGE - 3), (3, HUGE - 3)]
+    # A capped state is no fixpoint, so propagation from it (here with
+    # x1 narrowed) starts with every row dirty, as the search does for
+    # the children of a capped node.
+    narrowed = list(got)
+    narrowed[1] = (3, HUGE - 4)
+    expected = list(narrowed)
+    assert reference_propagate(rows, expected, sweeps=3)
+    outcome, _, _, got = event_propagate(rows, n_vars, narrowed, sweeps=3)
+    assert outcome == flows._CAPPED
+    assert got == expected
+    # The contradiction is found once the bounds are small enough.
+    small = [(0, 10), (0, 10)]
+    assert not reference_propagate(rows, list(small))
+    assert event_propagate(rows, n_vars, small)[0] == flows._CONTRADICTION
+
+
+@on_fixture_systems
+def test_root_propagation_on_fixtures(name, fs, kept, growth, problem):
+    search = flows._Search(problem, 1)
+    root = [(lo, problem.box) for lo in problem.lowers]
+    expected = list(root)
+    feasible = reference_propagate(search.rows, expected)
+    n_vars = len(problem.var_names)
+    outcome, _, _, got = event_propagate(search.rows, n_vars, root)
+    assert (outcome != flows._CONTRADICTION) == feasible
+    assert got == expected
+
+
+def reference_driven(sweeps: int = 60):
+    """A stand-in for flows._propagate that runs the full-sweep reference
+    (ignoring the dirty rows) and reports its row visits.  It never
+    claims a fixpoint, so the search hands every child all rows dirty."""
+    def propagate(rows, occurs, intervals, dirty=None):
+        before = list(intervals)
+        counts: dict = {}
+        feasible = reference_propagate(rows, intervals, sweeps, counts)
+        moved = {v for v in range(len(intervals)) if intervals[v] != before[v]}
+        outcome = flows._CAPPED if feasible else flows._CONTRADICTION
+        return outcome, moved, counts["visits"]
+    return propagate
+
+
+def event_driven(sweeps: int = 60):
+    """flows._propagate as the search calls it, under a sweep cap."""
+    real = flows._propagate
+
+    def propagate(rows, occurs, intervals, dirty=None):
+        return real(rows, occurs, intervals, dirty, sweeps)
+    return propagate
+
+
+def traced_search(monkeypatch, propagate, fs, growth, budget):
+    """(result, stats, trace) of solve or solve_unbounded with the given
+    propagation.  result is ResourceBudgetError when the node budget runs
+    out; trace holds, per expanded node, its outcome and its intervals
+    after propagation."""
+    trace = []
+
+    def traced(rows, occurs, intervals, dirty=None):
+        outcome, moved, visits = propagate(rows, occurs, intervals, dirty)
+        trace.append((outcome == flows._CONTRADICTION, tuple(intervals)))
+        return outcome, moved, visits
+
+    monkeypatch.setattr(flows, "_propagate", traced)
+    stats: dict = {}
+    try:
+        if growth is None:
+            result = solve(fs, node_budget=budget, stats=stats)
+        else:
+            result = solve_unbounded(fs, growth, node_budget=budget, stats=stats)
+    except ResourceBudgetError:
+        result = ResourceBudgetError
+    monkeypatch.undo()
+    return result, stats, trace
+
+
+class TestSearchWithReferencePropagation:
+    """The search expands the same nodes, with the same intervals, and
+    returns the same answer whether its propagation is event-driven or
+    the full-sweep reference."""
+
+    @on_fixture_systems
+    def test_same_nodes_and_answer(self, monkeypatch, name, fs, kept, growth,
+                                   problem):
+        result, stats, trace = traced_search(
+            monkeypatch, event_driven(), fs, growth, 200)
+        expected, expected_stats, expected_trace = traced_search(
+            monkeypatch, reference_driven(), fs, growth, 200)
+        assert result == expected
+        assert trace == expected_trace
+        nodes = stats.get("nodes", 0)
+        assert nodes == expected_stats.get("nodes", 0)
+        # a node over the budget is counted but not expanded
+        assert len(trace) == min(nodes, 200)
+        assert stats.get("row_visits", 0) <= expected_stats.get("row_visits", 0)
+
+    def test_capped_nodes(self, monkeypatch):
+        """With a sweep cap of 1, every node whose propagation changes
+        anything stops at the cap, and its children must start with
+        every row dirty to match the reference under the same cap."""
+        fs = to_flow_system(phase_automaton(load_machine(fixture_path("aibjcidj.ncm"))))
+        outcomes = Counter()
+        capped = event_driven(sweeps=1)
+
+        def counted(rows, occurs, intervals, dirty=None):
+            outcome, moved, visits = capped(rows, occurs, intervals, dirty)
+            outcomes[outcome] += 1
+            return outcome, moved, visits
+
+        result, stats, trace = traced_search(
+            monkeypatch, counted, fs, INPUT_CLASS, 300)
+        assert outcomes[flows._CAPPED] > 0
+        expected, expected_stats, expected_trace = traced_search(
+            monkeypatch, reference_driven(sweeps=1), fs, INPUT_CLASS, 300)
+        assert result == expected
+        assert trace == expected_trace
+
+    def test_row_visits_against_reference(self, monkeypatch):
+        """stats['row_visits'] counts the rows the search visited: for the
+        same nodes, a fraction of the full sweeps' visits."""
+        fs = to_flow_system(phase_automaton(load_machine(fixture_path("anbncn.ncm"))))
+        result, stats, _ = traced_search(
+            monkeypatch, event_driven(), fs, INPUT_CLASS, 2000)
+        expected, expected_stats, _ = traced_search(
+            monkeypatch, reference_driven(), fs, INPUT_CLASS, 2000)
+        assert isinstance(result, PumpWitness) and result == expected
+        assert stats["nodes"] == expected_stats["nodes"] > 1
+        assert stats["nodes"] <= stats["row_visits"] < expected_stats["row_visits"]
