@@ -36,9 +36,13 @@ from .patterns import (
     Seq,
     Star,
     Sym,
+    _add_word_loops,
+    _all_zero,
+    _fixed,
+    _nonempty_word_sequences,
+    _unit,
     all_pattern,
     eq_acceptor,
-    _nonempty_word_sequences,
 )
 from .phase import phase_automaton
 from .semilinear import LinearSet, SemilinearSet, is_m_positive
@@ -51,27 +55,15 @@ def _as_word(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _fixed(guard) -> dict[int, str]:
-    """A concrete guard tuple as a MachineBuilder fixed-entry map."""
-    return {i: g for i, g in enumerate(guard, start=1)}
-
-
-def _all_zero(k: int) -> dict[int, str]:
-    return {i: ZERO for i in range(1, k + 1)}
-
-
-def _unit(k: int, i: int, change: int) -> tuple[int, ...]:
-    return tuple(change if j == i else 0 for j in range(1, k + 1))
-
-
 # ---------------------------------------------------------------------------
 # Behavior projections
 
 
+# mode -> (keep increases, keep decreases, alphabet of the result)
 _SD_MODES = {
-    "full": (True, True),
-    "increases-only": (True, False),
-    "decreases-only": (False, True),
+    "full": (True, True, instruction_alphabet),
+    "increases-only": (True, False, increase_alphabet),
+    "decreases-only": (False, True, decrease_alphabet),
 }
 
 
@@ -85,7 +77,7 @@ def self_describing(machine: CounterMachine, mode: str = "full") -> CounterMachi
     """
     if mode not in _SD_MODES:
         raise MachineError(f"unknown self-describing mode {mode!r}")
-    keep_inc, keep_dec = _SD_MODES[mode]
+    keep_inc, keep_dec, alphabet = _SD_MODES[mode]
     transitions = []
     for t in machine.transitions:
         sym = t.instruction()
@@ -94,15 +86,9 @@ def self_describing(machine: CounterMachine, mode: str = "full") -> CounterMachi
         transitions.append(
             Transition(t.label, t.src, sym, t.guard, t.dst, t.delta)
         )
-    if mode == "full":
-        alphabet = instruction_alphabet(machine.k)
-    elif mode == "increases-only":
-        alphabet = increase_alphabet(machine.k)
-    else:
-        alphabet = decrease_alphabet(machine.k)
     return CounterMachine(
         k=machine.k,
-        alphabet=frozenset(alphabet),
+        alphabet=frozenset(alphabet(machine.k)),
         states=machine.states,
         initial=machine.initial,
         finals=machine.finals,
@@ -258,15 +244,15 @@ def intersect_regular(machine: CounterMachine, automaton) -> CounterMachine:
     )
 
 
-def union(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
-    """Machine for the union, on the disjoint sum of the counter sets.
+def _disjoint_sum(m1: CounterMachine, m2: CounterMachine):
+    """Builder holding copies of both machines on the disjoint sum of their
+    counters, plus the copies' state names.
 
-    The second operand's counter i becomes counter i + m1.k; a fresh
-    initial state branches silently into either copy, whose guards pin
-    the other copy's counters at zero.
+    Copy states carry the prefixes "1." and "2."; the second operand's
+    counter i becomes counter i + m1.k, and each copy's guards pin the
+    other copy's counters at zero.
     """
-    k = m1.k + m2.k
-    builder = MachineBuilder(k)
+    builder = MachineBuilder(m1.k + m2.k)
     z1, z2 = (ZERO,) * m1.k, (ZERO,) * m2.k
     for t in m1.transitions:
         builder.add(
@@ -278,13 +264,21 @@ def union(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
             f"2.{t.src}", t.inp, f"2.{t.dst}",
             (0,) * m1.k + t.delta, fixed=_fixed(z1 + t.guard),
         )
-    builder.add("u0", None, f"1.{m1.initial}", fixed=_all_zero(k))
-    builder.add("u0", None, f"2.{m2.initial}", fixed=_all_zero(k))
+    states = [f"1.{q}" for q in m1.states] + [f"2.{q}" for q in m2.states]
+    return builder, states
+
+
+def union(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
+    """Machine for the union, on the disjoint sum of the counter sets.
+
+    A fresh initial state branches silently into either copy.
+    """
+    builder, states = _disjoint_sum(m1, m2)
+    builder.add("u0", None, f"1.{m1.initial}", fixed=_all_zero(builder.k))
+    builder.add("u0", None, f"2.{m2.initial}", fixed=_all_zero(builder.k))
     finals = [f"1.{f}" for f in m1.finals] + [f"2.{f}" for f in m2.finals]
-    return builder.machine(
-        m1.alphabet | m2.alphabet, "u0", finals,
-        extra_states=[f"1.{q}" for q in m1.states] + [f"2.{q}" for q in m2.states],
-    )
+    return builder.machine(m1.alphabet | m2.alphabet, "u0", finals,
+                           extra_states=states)
 
 
 def concat(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
@@ -293,26 +287,11 @@ def concat(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
     A silent bridge leaves each first-copy final under an all-zero guard,
     which is exactly the configuration of an accepting first-copy run.
     """
-    k = m1.k + m2.k
-    builder = MachineBuilder(k)
-    z1, z2 = (ZERO,) * m1.k, (ZERO,) * m2.k
-    for t in m1.transitions:
-        builder.add(
-            f"1.{t.src}", t.inp, f"1.{t.dst}",
-            t.delta + (0,) * m2.k, fixed=_fixed(t.guard + z2),
-        )
-    for t in m2.transitions:
-        builder.add(
-            f"2.{t.src}", t.inp, f"2.{t.dst}",
-            (0,) * m1.k + t.delta, fixed=_fixed(z1 + t.guard),
-        )
+    builder, states = _disjoint_sum(m1, m2)
     for f in m1.finals:
-        builder.add(f"1.{f}", None, f"2.{m2.initial}", fixed=_all_zero(k))
-    return builder.machine(
-        m1.alphabet | m2.alphabet, f"1.{m1.initial}",
-        [f"2.{f}" for f in m2.finals],
-        extra_states=[f"1.{q}" for q in m1.states] + [f"2.{q}" for q in m2.states],
-    )
+        builder.add(f"1.{f}", None, f"2.{m2.initial}", fixed=_all_zero(builder.k))
+    return builder.machine(m1.alphabet | m2.alphabet, f"1.{m1.initial}",
+                           [f"2.{f}" for f in m2.finals], extra_states=states)
 
 
 def reversal(machine: CounterMachine) -> CounterMachine:
@@ -739,34 +718,17 @@ def sbd_form(k: int) -> CounterMachine:
     if k < 1:
         raise ValueError("arity must be at least 1")
     builder = MachineBuilder(k)
-    start = "pick"
-
-    def aname(done: tuple, word: tuple, pos: int, looped: bool) -> str:
-        mark = "+" if looped else "-"
-        return "w" + "|".join("".join(map(str, w)) for w in done) \
-            + ":" + "".join(map(str, word)) + "@" + str(pos) + mark
 
     def dname(seq: tuple, i: int, half: str) -> str:
         return "d" + "|".join("".join(map(str, w)) for w in seq) \
             + "@" + str(i) + half
 
-    word_seqs = list(_nonempty_word_sequences(tuple(range(1, k + 1))))
-    for seq in word_seqs:
-        for w_index, word in enumerate(seq):
-            done = seq[:w_index]
-            base = sum(len(w) for w in done)
-            origin = start if w_index == 0 else aname(done[:-1], done[-1], 0, True)
-            for looped in (False, True):
-                for pos in range(len(word)):
-                    state = aname(done, word, pos, looped)
-                    nxt_pos = (pos + 1) % len(word)
-                    nxt_looped = looped or nxt_pos == 0
-                    target = aname(done, word, nxt_pos, nxt_looped)
-                    delta = _unit(k, base + 1, 1) if pos == 0 else None
-                    builder.add(state, c_sym(word[pos]), target, delta)
-            builder.add(origin, None, aname(done, word, 0, False))
-            if w_index == len(seq) - 1:
-                builder.add(aname(done, word, 0, True), None, dname(seq, 1, "a"))
+    def read(done, word, pos):
+        base = sum(len(w) for w in done)
+        return c_sym(word[pos]), (_unit(k, base + 1, 1) if pos == 0 else None), None
+
+    for seq in _nonempty_word_sequences(tuple(range(1, k + 1))):
+        _add_word_loops(builder, seq, "pick", read, dname(seq, 1, "a"))
         # decrease blocks in counter order, draining each word's chain
         chain_pos = {}
         base = 0
@@ -789,4 +751,4 @@ def sbd_form(k: int) -> CounterMachine:
                 builder.add(u, None, dname(seq, i + 1, "a"))
             else:
                 builder.add(u, None, "acc", fixed=_all_zero(k))
-    return builder.machine(instruction_alphabet(k), start, ["acc"])
+    return builder.machine(instruction_alphabet(k), "pick", ["acc"])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .build import (
@@ -130,18 +129,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="text", help="report style")
     shared.add_argument("--budget", type=_positive_int, default=None, metavar="N",
                         help="cap on solver nodes plus automaton states")
-    shared.add_argument("--max-len", type=int, default=8, metavar="L",
-                        help="word-length horizon for enumeration verbs")
-    shared.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="seed for any randomized helper")
+    horizon = argparse.ArgumentParser(add_help=False)
+    horizon.add_argument("--max-len", type=int, default=8, metavar="L",
+                         help="word-length horizon of the enumeration")
 
     parser = argparse.ArgumentParser(
         prog="ncm",
         description="Workbench for one-way reversal-bounded counter machines.")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    def verb(name: str, help_text: str):
-        return sub.add_parser(name, parents=[shared], help=help_text)
+    def verb(name: str, help_text: str, *parents):
+        return sub.add_parser(name, parents=[shared, *parents], help=help_text)
 
     p = verb("validate", "check machine well-formedness")
     p.add_argument("machine")
@@ -150,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("word", help=f"symbols run together; {_EPS} for the empty word")
 
-    p = verb("enumerate", "list accepted words up to --max-len")
+    p = verb("enumerate", "list accepted words up to --max-len", horizon)
     p.add_argument("machine")
 
     for name, help_text in (("empty", "is the language empty?"),
@@ -223,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("-o", "--out", default=None)
 
-    p = verb("compare", "languages equal up to --max-len?")
+    p = verb("compare", "languages equal up to --max-len?", horizon)
     p.add_argument("left")
     p.add_argument("right")
 
@@ -423,8 +421,6 @@ def _closure(args, fmt: str) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return _dispatch(args)
     except ResourceBudgetError as err:

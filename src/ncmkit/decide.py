@@ -28,12 +28,10 @@ from .machine import (
     Run,
     Transition,
     ZERO,
-    apply_transition,
     c_sym,
     d_sym,
-    initial_configuration,
     instruction_alphabet,
-    validate_run,
+    replay,
 )
 from .nfa import (
     Dfa,
@@ -49,6 +47,8 @@ from .patterns import (
     Seq,
     Star,
     Sym,
+    _all_zero,
+    _fixed,
     _stratified,
     expr_to_nfa,
     parse_pattern,
@@ -295,25 +295,6 @@ def _as_expr(expr) -> InstructionExpr:
     return parse_pattern(expr) if isinstance(expr, str) else expr
 
 
-def _replay_labels(machine: CounterMachine, labels) -> Run:
-    """Rebuild and validate the run of machine that takes these labels."""
-    by_label = machine.by_label()
-    config = initial_configuration(machine)
-    configs = [config]
-    word: list[str] = []
-    for label in labels:
-        t = by_label[label]
-        if t.inp is not None:
-            word.append(t.inp)
-        config = apply_transition(t, config, tuple(word))
-        if config is None:
-            raise MachineError(f"label sequence does not replay at {label!r}")
-        configs.append(config)
-    run = Run(tuple(word), tuple(labels), tuple(configs))
-    validate_run(machine, run)
-    return run
-
-
 def _product_labels(run: Run) -> list[str]:
     """Source-machine labels of a run of an intersect_regular product."""
     out = []
@@ -344,7 +325,7 @@ def satisfies(machine: CounterMachine, expr, budget: Budget | None = None) -> Ve
         return Verdict(True, None, "every accepting behavior matches the pattern",
                        budget.used)
     product_run = witness_run(pa, result)
-    run = _replay_labels(machine, _product_labels(product_run))
+    run = replay(machine, _product_labels(product_run))
     return Verdict(False, BehaviorCounterexample("".join(product_run.word), run),
                    "a run realizes a behavior outside the pattern", budget.used)
 
@@ -422,25 +403,22 @@ def _change_machine(machine: CounterMachine) -> CounterMachine:
     def name(q: str, last: str | None) -> str:
         return f"{q}/{last if last is not None else '.'}"
 
-    def guard_fix(t: Transition) -> dict[int, str]:
-        return {i: g for i, g in enumerate(t.guard, start=1)}
-
     silent = (0,) * k
     for t in machine.transitions:
         for last in [None, *letters]:
             src = name(t.src, last)
             if t.inp is None:
                 builder.add(src, None, name(t.dst, last),
-                            t.delta + (0,), fixed=guard_fix(t))
+                            t.delta + (0,), fixed=_fixed(t.guard))
             elif last == t.inp:
                 builder.add(src, None, name(t.dst, t.inp),
-                            t.delta + (0,), fixed=guard_fix(t))
+                            t.delta + (0,), fixed=_fixed(t.guard))
             else:
                 mid = f"{src}>{t.label}"
-                builder.add(src, None, mid, silent + (1,), fixed=guard_fix(t))
+                builder.add(src, None, mid, silent + (1,), fixed=_fixed(t.guard))
                 builder.add(mid, None, name(t.dst, t.inp),
-                            t.delta + (0,), fixed=guard_fix(t))
-    zeros = {i: ZERO for i in range(1, k + 1)}
+                            t.delta + (0,), fixed=_fixed(t.guard))
+    zeros = _all_zero(k)
     read, done = "count!", "done!"
     for f in sorted(machine.finals):
         for last in [None, *letters]:

@@ -425,6 +425,32 @@ def _dedup_rows(rows: list[_Row]) -> list[_Row]:
     return out
 
 
+def _flow_rows(edges: list[FlowEdge], var_of: dict, nodes: list, balance_pairs):
+    """Conservation and balance coefficients of one flow over the edges.
+
+    var_of maps an edge id to its variable.  Returns a dict from each
+    node, in the given order, to its coefficients (outflow minus inflow,
+    in edge order; a self-loop cancels), and a list with the
+    coefficients of each balance pair (class a minus class b)."""
+    conservation = {v: {} for v in nodes}
+    for e in edges:
+        var = var_of[e.eid]
+        out, into = conservation[e.src], conservation[e.dst]
+        out[var] = out.get(var, 0) + 1
+        into[var] = into.get(var, 0) - 1
+    conservation = {v: {k: c for k, c in coeffs.items() if c != 0}
+                    for v, coeffs in conservation.items()}
+    balance = []
+    for cls_a, cls_b in balance_pairs:
+        coeffs = {}
+        for e in edges:
+            c = (cls_a in e.classes) - (cls_b in e.classes)
+            if c:
+                coeffs[var_of[e.eid]] = c
+        balance.append(coeffs)
+    return conservation, balance
+
+
 def _assemble(fs: FlowSystem, kept: list[FlowEdge], kept_sinks: list,
               with_circulation: bool, growth_class: str | None):
     var_names: list = []
@@ -456,49 +482,22 @@ def _assemble(fs: FlowSystem, kept: list[FlowEdge], kept_sinks: list,
     # conservation of the walk flow, with the sink choice as extra outflow
     nodes = sorted({e.src for e in kept} | {e.dst for e in kept}
                    | {fs.source} | set(kept_sinks))
-    for v in nodes:
-        coeffs: dict = {}
-        for e in kept:
-            if e.src == v:
-                coeffs[y_of_edge[e.eid]] = coeffs.get(y_of_edge[e.eid], 0) + 1
-            if e.dst == v:
-                coeffs[y_of_edge[e.eid]] = coeffs.get(y_of_edge[e.eid], 0) - 1
-        for idx in sink_vars:
-            if sink_of_var[idx] == v:
-                coeffs[idx] = coeffs.get(idx, 0) + 1
-        coeffs = {k: c for k, c in coeffs.items() if c != 0}
+    conservation, balance = _flow_rows(kept, y_of_edge, nodes, fs.balance_pairs)
+    for idx in sink_vars:
+        conservation[sink_of_var[idx]][idx] = 1
+    for v, coeffs in conservation.items():
         rhs = 1 if v == fs.source else 0
         if coeffs or rhs:
             rows.append(_Row(coeffs, rhs, _EQ))
     rows.append(_Row({idx: 1 for idx in sink_vars}, 1, _EQ))
-    for cls_a, cls_b in fs.balance_pairs:
-        coeffs = {}
-        for e in kept:
-            c = (1 if cls_a in e.classes else 0) - (1 if cls_b in e.classes else 0)
-            if c:
-                coeffs[y_of_edge[e.eid]] = c
-        rows.append(_Row(coeffs, 0, _EQ))
+    rows += [_Row(coeffs, 0, _EQ) for coeffs in balance]
     if fs.positive_class is not None:
         coeffs = {y_of_edge[e.eid]: 1 for e in kept if fs.positive_class in e.classes}
         rows.append(_Row(coeffs, 1, _GE))
     if with_circulation:
-        for v in nodes:
-            coeffs = {}
-            for e in kept:
-                if e.src == v:
-                    coeffs[z_of_edge[e.eid]] = coeffs.get(z_of_edge[e.eid], 0) + 1
-                if e.dst == v:
-                    coeffs[z_of_edge[e.eid]] = coeffs.get(z_of_edge[e.eid], 0) - 1
-            coeffs = {k: c for k, c in coeffs.items() if c != 0}
-            if coeffs:
-                rows.append(_Row(coeffs, 0, _EQ))
-        for cls_a, cls_b in fs.balance_pairs:
-            coeffs = {}
-            for e in kept:
-                c = (1 if cls_a in e.classes else 0) - (1 if cls_b in e.classes else 0)
-                if c:
-                    coeffs[z_of_edge[e.eid]] = c
-            rows.append(_Row(coeffs, 0, _EQ))
+        conservation, balance = _flow_rows(kept, z_of_edge, nodes, fs.balance_pairs)
+        rows += [_Row(coeffs, 0, _EQ) for coeffs in conservation.values() if coeffs]
+        rows += [_Row(coeffs, 0, _EQ) for coeffs in balance]
         coeffs = {z_of_edge[e.eid]: 1 for e in kept if growth_class in e.classes}
         rows.append(_Row(coeffs, 1, _GE))
 
@@ -871,26 +870,9 @@ def _growth_circulation_possible(kept, balance_pairs,
     simplex pivots the check took.
     """
     index = {e.eid: i for i, e in enumerate(kept)}
-    rows: list[tuple[dict, int]] = []
     nodes = sorted({e.src for e in kept} | {e.dst for e in kept})
-    for v in nodes:
-        coeffs: dict = {}
-        for e in kept:
-            if e.src == v:
-                coeffs[index[e.eid]] = coeffs.get(index[e.eid], 0) + 1
-            if e.dst == v:
-                coeffs[index[e.eid]] = coeffs.get(index[e.eid], 0) - 1
-        coeffs = {k: c for k, c in coeffs.items() if c != 0}
-        if coeffs:
-            rows.append((coeffs, 0))
-    for cls_a, cls_b in balance_pairs:
-        coeffs = {}
-        for e in kept:
-            c = (1 if cls_a in e.classes else 0) - (1 if cls_b in e.classes else 0)
-            if c:
-                coeffs[index[e.eid]] = c
-        if coeffs:
-            rows.append((coeffs, 0))
+    conservation, balance = _flow_rows(kept, index, nodes, balance_pairs)
+    rows = [(coeffs, 0) for coeffs in [*conservation.values(), *balance] if coeffs]
     growth = {index[e.eid]: 1 for e in kept if growth_class in e.classes}
     if not growth:
         return False, 0

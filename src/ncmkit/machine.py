@@ -6,6 +6,14 @@ with entries in {-1, 0, +1}.  Acceptance: input consumed and control in a
 final state.  Well-formed machines additionally make at most one counter
 change per transition, are 1-reversal per counter, and can only accept
 with all counters empty; `validate_well_formed` checks this statically.
+
+Two mechanisms live here once for the whole package.  `explore_phases`
+is the one walk over the reachable state x phase product: the
+well-formedness report is read off its violations, and
+`phase.phase_automaton` prunes its nodes and edges.  `replay` is the one
+run replay: it turns a label sequence into a validated accepting run,
+and `validate_run`, `phase.run_from_walk` and `decide.satisfies` go
+through it.
 """
 
 from __future__ import annotations
@@ -172,25 +180,38 @@ def is_accepting(machine: CounterMachine, config: Configuration, word_len: int) 
     return config.state in machine.finals and config.pos == word_len
 
 
-def validate_run(machine: CounterMachine, run: Run) -> None:
-    """Raise MachineError unless run is a valid accepting run of machine."""
-    if len(run.configs) != len(run.labels) + 1:
-        raise MachineError("run shape: need len(labels)+1 configurations")
-    if run.configs[0] != initial_configuration(machine):
-        raise MachineError("run does not start in the initial configuration")
+def replay(machine: CounterMachine, labels) -> Run:
+    """The accepting run of machine that takes the labelled transitions.
+
+    The word is what those transitions read.  Raises MachineError on an
+    unknown label, on a transition that does not apply, and when the run
+    does not end accepting."""
     by_label = machine.by_label()
-    for i, label in enumerate(run.labels):
+    steps = []
+    for i, label in enumerate(labels):
         t = by_label.get(label)
         if t is None:
             raise MachineError(f"run step {i}: unknown transition {label!r}")
-        if t.src != run.configs[i].state:
-            raise MachineError(f"run step {i}: transition {label!r} source mismatch")
-        nxt = apply_transition(t, run.configs[i], run.word)
-        if nxt is None or nxt != run.configs[i + 1]:
-            raise MachineError(f"run step {i}: transition {label!r} does not apply")
-    last = run.configs[-1]
-    if not is_accepting(machine, last, len(run.word)):
+        steps.append(t)
+    word = tuple(t.inp for t in steps if t.inp is not None)
+    configs = [initial_configuration(machine)]
+    for i, t in enumerate(steps):
+        nxt = apply_transition(t, configs[-1], word)
+        if nxt is None:
+            raise MachineError(f"run step {i}: transition {t.label!r} does not apply")
+        configs.append(nxt)
+    if not is_accepting(machine, configs[-1], len(word)):
         raise MachineError("run does not end accepting")
+    return Run(word, tuple(labels), tuple(configs))
+
+
+def validate_run(machine: CounterMachine, run: Run) -> None:
+    """Raise MachineError unless run is a valid accepting run of machine."""
+    expected = replay(machine, run.labels)
+    if expected.word != run.word:
+        raise MachineError("run word differs from the letters its transitions read")
+    if expected.configs != run.configs:
+        raise MachineError("run configurations differ from its replay")
 
 
 def project_run(machine: CounterMachine, run: Run, mode: str = "instructions") -> tuple[str, ...]:
@@ -277,17 +298,17 @@ class WellFormedReport:
         return "\n".join(lines)
 
 
-# Per-counter phases for the static analysis.  Ordering is monotone along
+# Per-counter phases of the static analysis.  Ordering is monotone along
 # any path: Z0 -> INC -> DEC -> ZF.
-_Z0, _INC, _DEC, _ZF = "Z0", "INC", "DEC", "ZF"
-_ZERO_PHASES = (_Z0, _ZF)
+PH_Z0, PH_INC, PH_DEC, PH_ZF = "Z0", "INC", "DEC", "ZF"
+ZERO_PHASES = (PH_Z0, PH_ZF)
 
 
 def phase_consistent(guard: tuple[str, ...], phases: tuple[str, ...]) -> bool:
     for g, ph in zip(guard, phases):
-        if g == ZERO and ph not in _ZERO_PHASES:
+        if g == ZERO and ph not in ZERO_PHASES:
             return False
-        if g == POS and ph in _ZERO_PHASES:
+        if g == POS and ph in ZERO_PHASES:
             return False
     return True
 
@@ -299,36 +320,33 @@ def phase_successors(phases: tuple[str, ...], delta: tuple[int, ...]):
     Increments after a decrement phase are refused: that is the reversal
     violation the caller flags.
     """
-    options: list[tuple[str, ...]] = []
     per_counter: list[tuple[str, ...]] = []
     for ph, d in zip(phases, delta):
         if d == 0:
             per_counter.append((ph,))
         elif d > 0:
-            if ph not in (_Z0, _INC):
+            if ph not in (PH_Z0, PH_INC):
                 return []
-            per_counter.append((_INC,))
+            per_counter.append((PH_INC,))
         else:
-            if ph not in (_INC, _DEC):
+            if ph not in (PH_INC, PH_DEC):
                 return []
-            per_counter.append((_DEC, _ZF))
-    for combo in itertools.product(*per_counter):
-        options.append(tuple(combo))
-    return options
+            per_counter.append((PH_DEC, PH_ZF))
+    return list(itertools.product(*per_counter))
 
 
-def _states_reaching_final(machine: CounterMachine) -> set[str]:
-    back: dict[str, set[str]] = {q: set() for q in machine.states}
-    for t in machine.transitions:
-        back[t.dst].add(t.src)
-    seen = set(machine.finals)
-    frontier = list(machine.finals)
-    while frontier:
-        q = frontier.pop()
-        for p in back[q]:
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
+def coreachable(targets, arcs) -> set:
+    """The nodes from which some target is reachable along (src, dst) arcs."""
+    back: dict = {}
+    for src, dst in arcs:
+        back.setdefault(dst, []).append(src)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for prev in back.get(stack.pop(), ()):
+            if prev not in seen:
+                seen.add(prev)
+                stack.append(prev)
     return seen
 
 
@@ -352,8 +370,22 @@ def _check_determinism(machine: CounterMachine) -> bool:
     return True
 
 
-def validate_well_formed(machine: CounterMachine) -> WellFormedReport:
-    """Static well-formedness check on the reachable state x phase product.
+@dataclass(frozen=True)
+class PhaseExploration:
+    """The reachable part of a machine's state x phase product.
+
+    Nodes are (state, phase vector) pairs; edges are (source node,
+    transition, target node) triples in discovery order.  violations
+    lists what the walk found against well-formedness."""
+
+    start: tuple
+    nodes: frozenset
+    edges: tuple
+    violations: tuple[Violation, ...]
+
+
+def explore_phases(machine: CounterMachine) -> PhaseExploration:
+    """Walk the state x phase product reachable from the initial node.
 
     Flags transitions changing more than one counter, increments reachable
     after a decrement of the same counter, and acceptance admitted with a
@@ -367,36 +399,29 @@ def validate_well_formed(machine: CounterMachine) -> WellFormedReport:
     for t in machine.transitions:
         changed = t.changed()
         if len(changed) > 1:
-            violations.append(
-                Violation(
-                    "multi-counter-change",
-                    t.label,
-                    f"changes counters {changed}",
-                    True,
-                )
-            )
+            violations.append(Violation(
+                "multi-counter-change", t.label, f"changes counters {changed}", True))
 
-    co_reach = _states_reaching_final(machine)
+    co_reach = coreachable(machine.finals,
+                           ((t.src, t.dst) for t in machine.transitions))
     adj = machine.outgoing()
-    start = (machine.initial, (_Z0,) * machine.k)
+    start = (machine.initial, (PH_Z0,) * machine.k)
     seen = {start}
     frontier = [start]
+    edges = []
     reversal_seen: set[tuple[str, int]] = set()
     nonzero_seen: set[str] = set()
     while frontier:
-        state, phases = frontier.pop()
+        node = frontier.pop()
+        state, phases = node
         if state in machine.finals:
-            bad = [i for i, ph in enumerate(phases, 1) if ph in (_INC, _DEC)]
+            bad = [i for i, ph in enumerate(phases, 1) if ph in (PH_INC, PH_DEC)]
             if bad and state not in nonzero_seen:
                 nonzero_seen.add(state)
-                violations.append(
-                    Violation(
-                        "nonzero-accept-possible",
-                        None,
-                        f"state {state} accepts with counters {bad} in positive phase",
-                        True,
-                    )
-                )
+                violations.append(Violation(
+                    "nonzero-accept-possible", None,
+                    f"state {state} accepts with counters {bad} in positive phase",
+                    True))
         for t in adj[state]:
             if not phase_consistent(t.guard, phases):
                 continue
@@ -404,29 +429,32 @@ def validate_well_formed(machine: CounterMachine) -> WellFormedReport:
             if not succs:
                 # An increment was refused: counter already past its reversal.
                 for i, d in enumerate(t.delta, 1):
-                    if d > 0 and phases[i - 1] in (_DEC, _ZF):
+                    if d > 0 and phases[i - 1] in (PH_DEC, PH_ZF):
                         key = (t.label, i)
                         if key not in reversal_seen:
                             reversal_seen.add(key)
-                            violations.append(
-                                Violation(
-                                    "reversal-violation",
-                                    t.label,
-                                    f"counter {i} incremented after decrementing",
-                                    t.dst in co_reach,
-                                )
-                            )
+                            violations.append(Violation(
+                                "reversal-violation", t.label,
+                                f"counter {i} incremented after decrementing",
+                                t.dst in co_reach))
                 continue
             for phases2 in succs:
-                node = (t.dst, phases2)
-                if node not in seen:
-                    seen.add(node)
-                    frontier.append(node)
+                nxt = (t.dst, phases2)
+                edges.append((node, t, nxt))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return PhaseExploration(start, frozenset(seen), tuple(edges), tuple(violations))
 
+
+def validate_well_formed(machine: CounterMachine) -> WellFormedReport:
+    """Static well-formedness check on the reachable state x phase product
+    (see explore_phases), plus a determinism check."""
+    violations = explore_phases(machine).violations
     return WellFormedReport(
         is_well_formed=not violations,
         is_deterministic=_check_determinism(machine),
-        violations=tuple(violations),
+        violations=violations,
     )
 
 

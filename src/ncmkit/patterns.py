@@ -20,13 +20,13 @@ from .machine import (
     CounterMachine,
     Transition,
     c_sym,
+    coreachable,
     d_sym,
     decrease_alphabet,
     increase_alphabet,
     instruction_alphabet,
 )
 from .nfa import (
-    Dfa,
     Nfa,
     determinize,
     nfa_concat,
@@ -262,12 +262,9 @@ def all_pattern(k: int) -> InstructionExpr:
 
 def expr_to_nfa(expr: InstructionExpr | object, k: int | None = None) -> Nfa:
     """Automaton over the full instruction alphabet accepting the pattern."""
-    if isinstance(expr, InstructionExpr):
-        node = expr.root
-        arity = max(expr.k, k or 1)
-    else:
-        node = expr
-        arity = max(_max_index(node), k or 1)
+    if not isinstance(expr, InstructionExpr):
+        expr = make_expr(expr)
+    node, arity = expr.root, max(expr.k, k or 1)
     alpha = frozenset(instruction_alphabet(arity))
 
     def go(n) -> Nfa:
@@ -579,23 +576,19 @@ class MachineBuilder:
         )
 
 
-def _delta(k: int, i: int, change: int) -> tuple[int, ...]:
+def _unit(k: int, i: int, change: int) -> tuple[int, ...]:
+    """The delta vector changing counter i by change."""
     return tuple(change if j == i else 0 for j in range(1, k + 1))
 
 
-def _live_dfa_states(dfa: Dfa) -> set[int]:
-    back: dict[int, set[int]] = {}
-    for (src, _), dst in dfa.delta.items():
-        back.setdefault(dst, set()).add(src)
-    seen = set(dfa.finals)
-    stack = list(dfa.finals)
-    while stack:
-        q = stack.pop()
-        for p in back.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
+def _fixed(guard) -> dict[int, str]:
+    """A concrete guard tuple as a MachineBuilder fixed-entry map."""
+    return {i: g for i, g in enumerate(guard, start=1)}
+
+
+def _all_zero(k: int) -> dict[int, str]:
+    """The fixed-entry map pinning all k counters at zero."""
+    return {i: ZERO for i in range(1, k + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +607,11 @@ def eq_acceptor(
     down on Di, and a zero-guarded silent move into the accepting state
     enforces the equal counts.
     """
-    if isinstance(expr, InstructionExpr):
-        arity = max(expr.k, k or 1)
-    else:
-        arity = max(_max_index(expr), k or 1)
+    if not isinstance(expr, InstructionExpr):
+        expr = make_expr(expr)
+    arity = max(expr.k, k or 1)
     dfa = determinize(expr_to_nfa(expr, arity), max_states)
-    live = _live_dfa_states(dfa)
+    live = coreachable(dfa.finals, ((src, dst) for (src, _), dst in dfa.delta.items()))
 
     def name(d: int, bits: int) -> str:
         return f"q{d}b{bits}"
@@ -638,7 +630,7 @@ def eq_acceptor(
                 d2 = dfa.step(d, c_sym(i))
                 if d2 in live:
                     builder.add(
-                        name(d, bits), c_sym(i), name(d2, bits), _delta(arity, i, 1)
+                        name(d, bits), c_sym(i), name(d2, bits), _unit(arity, i, 1)
                     )
                     if (d2, bits) not in seen:
                         seen.add((d2, bits))
@@ -650,14 +642,14 @@ def eq_acceptor(
                     name(d, bits),
                     d_sym(i),
                     name(d2, bits2),
-                    _delta(arity, i, -1),
+                    _unit(arity, i, -1),
                     fixed={i: POS},
                 )
                 if (d2, bits2) not in seen:
                     seen.add((d2, bits2))
                     todo.append((d2, bits2))
     for d, bits in accepting_sources:
-        builder.add(name(d, bits), None, "acc", fixed={i: ZERO for i in range(1, arity + 1)})
+        builder.add(name(d, bits), None, "acc", fixed=_all_zero(arity))
     return builder.machine(
         instruction_alphabet(arity), name(*start), ["acc"], extra_states=[name(*start)]
     )
@@ -701,15 +693,15 @@ def _generator_lb(k: int) -> CounterMachine:
             state = name(used, cur)
             accept_from.append(state)
             if cur.startswith("C"):
-                builder.add(state, cur, state, _delta(k, i, 1))
+                builder.add(state, cur, state, _unit(k, i, 1))
             else:
-                builder.add(state, cur, state, _delta(k, i, -1), fixed={i: POS})
+                builder.add(state, cur, state, _unit(k, i, -1), fixed={i: POS})
         for letter in choices(used):
             dst = name(used | {letter}, letter)
             for src in sources:
                 builder.add(src, None, dst)
     for state in accept_from:
-        builder.add(state, None, "acc", fixed={i: ZERO for i in range(1, k + 1)})
+        builder.add(state, None, "acc", fixed=_all_zero(k))
     return builder.machine(instruction_alphabet(k), start, ["acc"])
 
 
@@ -718,11 +710,8 @@ def _generator_lbilbd(k: int) -> CounterMachine:
     order, matched counts per counter."""
     builder = MachineBuilder(k)
 
-    def cname(used: frozenset, cur: int) -> str:
-        return "c[" + ",".join(map(str, sorted(used))) + "]@" + str(cur)
-
-    def dname(used: frozenset, cur: int) -> str:
-        return "d[" + ",".join(map(str, sorted(used))) + "]@" + str(cur)
+    def name(kind: str, used: frozenset, cur: int) -> str:
+        return kind + "[" + ",".join(map(str, sorted(used))) + "]@" + str(cur)
 
     start = "pick"
     accept_from = [start]
@@ -731,24 +720,24 @@ def _generator_lbilbd(k: int) -> CounterMachine:
     c_states = []
     for used in inc_sets:
         for cur in used:
-            state = cname(used, cur)
+            state = name("c", used, cur)
             c_states.append((used, cur, state))
             accept_from.append(state)
-            builder.add(state, c_sym(cur), state, _delta(k, cur, 1))
+            builder.add(state, c_sym(cur), state, _unit(k, cur, 1))
     d_states = []
     for used in inc_sets:
         for cur in used:
-            state = dname(used, cur)
+            state = name("d", used, cur)
             d_states.append((used, cur, state))
             accept_from.append(state)
-            builder.add(state, d_sym(cur), state, _delta(k, cur, -1), fixed={cur: POS})
+            builder.add(state, d_sym(cur), state, _unit(k, cur, -1), fixed={cur: POS})
     # Silent moves: pick the next increase section, or switch to decreases.
     for used, cur, state in c_states:
         if len(used) == 1:
             builder.add(start, None, state)
         else:
             for prev in used - {cur}:
-                builder.add(cname(used - {cur}, prev), None, state)
+                builder.add(name("c", used - {cur}, prev), None, state)
     for used, cur, state in d_states:
         prev_used = used - {cur}
         if not prev_used:
@@ -757,9 +746,9 @@ def _generator_lbilbd(k: int) -> CounterMachine:
                 builder.add(cstate, None, state)
         else:
             for prev in prev_used:
-                builder.add(dname(prev_used, prev), None, state)
+                builder.add(name("d", prev_used, prev), None, state)
     for state in accept_from:
-        builder.add(state, None, "acc", fixed={i: ZERO for i in range(1, k + 1)})
+        builder.add(state, None, "acc", fixed=_all_zero(k))
     return builder.machine(instruction_alphabet(k), start, ["acc"])
 
 
@@ -783,42 +772,56 @@ def _nonempty_word_sequences(letters: tuple[int, ...]):
     yield from rec(tuple(sorted(pool)))
 
 
+def _loop_name(done: tuple, word: tuple, pos: int, looped: bool) -> str:
+    """The state before letter pos of word, once the words in done have
+    been read; looped once word has been read in full at least once."""
+    mark = "+" if looped else "-"
+    return "w" + "|".join("".join(map(str, w)) for w in done) \
+        + ":" + "".join(map(str, word)) + "@" + str(pos) + mark
+
+
+def _add_word_loops(builder: MachineBuilder, seq: tuple, entry: str, read,
+                    exit_to: str, exit_fixed: dict[int, str] | None = None) -> None:
+    """Read the words of seq in turn, each one or more times.
+
+    A silent move leads from entry into the first word, and from the end
+    of each word into the next; read(done, word, pos) gives the letter,
+    delta and fixed guard entries of the move reading letter pos of word,
+    done being the words before it.  Once the last word has been read in
+    full, a silent move under exit_fixed leads to exit_to."""
+    for w_index, word in enumerate(seq):
+        done = seq[:w_index]
+        origin = entry if w_index == 0 else _loop_name(done[:-1], done[-1], 0, True)
+        for looped in (False, True):
+            for pos in range(len(word)):
+                nxt_pos = (pos + 1) % len(word)
+                letter, delta, fixed = read(done, word, pos)
+                builder.add(_loop_name(done, word, pos, looped), letter,
+                            _loop_name(done, word, nxt_pos, looped or nxt_pos == 0),
+                            delta, fixed=fixed)
+        builder.add(origin, None, _loop_name(done, word, 0, False))
+    builder.add(_loop_name(seq[:-1], seq[-1], 0, True), None, exit_to, fixed=exit_fixed)
+
+
 def _generator_bdilbd(k: int) -> CounterMachine:
     """Repeated increase words covering each counter once, then the
     decrease letters in counter order, counts matched per counter."""
     builder = MachineBuilder(k)
-    start = "pick"
-
-    def aname(done_words: tuple, word: tuple, pos: int, looped: bool) -> str:
-        mark = "+" if looped else "-"
-        return "w" + "|".join("".join(map(str, w)) for w in done_words) \
-            + ":" + "".join(map(str, word)) + "@" + str(pos) + mark
 
     def bname(i: int) -> str:
         return f"dec{i}"
 
-    word_seqs = list(_nonempty_word_sequences(tuple(range(1, k + 1))))
-    for seq in word_seqs:
-        for w_index, word in enumerate(seq):
-            done = seq[:w_index]
-            origin = start if w_index == 0 else aname(done[:-1], done[-1], 0, True)
-            for looped in (False, True):
-                for pos in range(len(word)):
-                    state = aname(done, word, pos, looped)
-                    nxt_pos = (pos + 1) % len(word)
-                    nxt_looped = looped or nxt_pos == 0
-                    target = aname(done, word, nxt_pos, nxt_looped)
-                    builder.add(state, c_sym(word[pos]), target,
-                                _delta(k, word[pos], 1))
-            builder.add(origin, None, aname(done, word, 0, False))
-            if w_index == len(seq) - 1:
-                builder.add(aname(done, word, 0, True), None, bname(1))
+    def read(done, word, pos):
+        return c_sym(word[pos]), _unit(k, word[pos], 1), None
+
+    for seq in _nonempty_word_sequences(tuple(range(1, k + 1))):
+        _add_word_loops(builder, seq, "pick", read, bname(1))
     for i in range(1, k + 1):
-        builder.add(bname(i), d_sym(i), bname(i), _delta(k, i, -1), fixed={i: POS})
+        builder.add(bname(i), d_sym(i), bname(i), _unit(k, i, -1), fixed={i: POS})
         if i < k:
             builder.add(bname(i), None, bname(i + 1))
-        builder.add(bname(i), None, "acc", fixed={j: ZERO for j in range(1, k + 1)})
-    return builder.machine(instruction_alphabet(k), start, ["acc"])
+        builder.add(bname(i), None, "acc", fixed=_all_zero(k))
+    return builder.machine(instruction_alphabet(k), "pick", ["acc"])
 
 
 def _generator_lbibdd(k: int) -> CounterMachine:
@@ -829,32 +832,15 @@ def _generator_lbibdd(k: int) -> CounterMachine:
     def aname(i: int) -> str:
         return f"inc{i}"
 
-    def wname(done_words: tuple, word: tuple, pos: int, looped: bool) -> str:
-        mark = "+" if looped else "-"
-        return "w" + "|".join("".join(map(str, w)) for w in done_words) \
-            + ":" + "".join(map(str, word)) + "@" + str(pos) + mark
+    def read(done, word, pos):
+        return d_sym(word[pos]), _unit(k, word[pos], -1), {word[pos]: POS}
 
     for i in range(1, k + 1):
-        builder.add(aname(i), c_sym(i), aname(i), _delta(k, i, 1))
+        builder.add(aname(i), c_sym(i), aname(i), _unit(k, i, 1))
         if i < k:
             builder.add(aname(i), None, aname(i + 1))
-    word_seqs = list(_nonempty_word_sequences(tuple(range(1, k + 1))))
-    for seq in word_seqs:
-        for w_index, word in enumerate(seq):
-            done = seq[:w_index]
-            origin = aname(k) if w_index == 0 else wname(done[:-1], done[-1], 0, True)
-            for looped in (False, True):
-                for pos in range(len(word)):
-                    state = wname(done, word, pos, looped)
-                    nxt_pos = (pos + 1) % len(word)
-                    nxt_looped = looped or nxt_pos == 0
-                    target = wname(done, word, nxt_pos, nxt_looped)
-                    builder.add(state, d_sym(word[pos]), target,
-                                _delta(k, word[pos], -1), fixed={word[pos]: POS})
-            builder.add(origin, None, wname(done, word, 0, False))
-            if w_index == len(seq) - 1:
-                builder.add(wname(done, word, 0, True), None, "acc",
-                            fixed={j: ZERO for j in range(1, k + 1)})
+    for seq in _nonempty_word_sequences(tuple(range(1, k + 1))):
+        _add_word_loops(builder, seq, aname(k), read, "acc", _all_zero(k))
     return builder.machine(instruction_alphabet(k), aname(1), ["acc"])
 
 
@@ -868,19 +854,17 @@ def _generator_lbd(k: int) -> CounterMachine:
         return f"g{seg}{'y' if fired else 'n'}"
 
     for seg in range(0, k + 1):
-        entry = name(seg, seg == 0)
         for j in range(seg + 1, k + 1):
             for fired in ({True} if seg == 0 else {False, True}):
                 builder.add(name(seg, fired), c_sym(j), name(seg, fired),
-                            _delta(k, j, 1))
+                            _unit(k, j, 1))
         if seg >= 1:
             for fired in (False, True):
                 builder.add(name(seg, fired), d_sym(seg), name(seg, True),
-                            _delta(k, seg, -1), fixed={seg: POS})
+                            _unit(k, seg, -1), fixed={seg: POS})
         if seg < k:
             builder.add(name(seg, True), None, name(seg + 1, seg + 1 == 0))
-    builder.add(name(k, True), None, "acc",
-                fixed={j: ZERO for j in range(1, k + 1)})
+    builder.add(name(k, True), None, "acc", fixed=_all_zero(k))
     return builder.machine(instruction_alphabet(k), name(0, True), ["acc"])
 
 
@@ -896,15 +880,14 @@ def _generator_lbi(k: int) -> CounterMachine:
         if seg < k:
             for fired in (False, True):
                 builder.add(name(seg, fired), c_sym(seg + 1), name(seg, True),
-                            _delta(k, seg + 1, 1))
+                            _unit(k, seg + 1, 1))
         for j in range(1, seg + 1):
             for fired in ({True} if seg == k else {False, True}):
                 builder.add(name(seg, fired), d_sym(j), name(seg, fired),
-                            _delta(k, j, -1), fixed={j: POS})
+                            _unit(k, j, -1), fixed={j: POS})
         if seg < k:
             builder.add(name(seg, True), None, name(seg + 1, seg + 1 == k))
-    builder.add(name(k, True), None, "acc",
-                fixed={j: ZERO for j in range(1, k + 1)})
+    builder.add(name(k, True), None, "acc", fixed=_all_zero(k))
     return builder.machine(instruction_alphabet(k), name(0, k == 0), ["acc"])
 
 

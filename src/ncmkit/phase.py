@@ -15,6 +15,10 @@ guard: a counter in INC or DEC still has its emptying decrement ahead of
 it, so its value is positive, while Z0 and ZF pin the value to zero.
 That turns emptiness and infiniteness questions into balanced-walk
 questions over a flow system.
+
+The state x phase walk itself is `machine.explore_phases`, which also
+yields the well-formedness violations; `phase_automaton` only prunes
+its result.  Walks turn back into runs through `machine.replay`.
 """
 
 from __future__ import annotations
@@ -23,21 +27,20 @@ from dataclasses import dataclass
 
 from .flows import FlowEdge, FlowSystem, FlowWitness
 from .machine import (
-    Configuration,
     CounterMachine,
     MachineError,
+    PH_DEC,
+    PH_INC,
+    PH_Z0,
+    PH_ZF,
     Run,
-    apply_transition,
+    ZERO_PHASES,
     c_sym,
+    coreachable,
     d_sym,
-    initial_configuration,
-    phase_consistent,
-    phase_successors,
-    validate_run,
-    validate_well_formed,
+    explore_phases,
+    replay,
 )
-
-PH_Z0, PH_INC, PH_DEC, PH_ZF = "Z0", "INC", "DEC", "ZF"
 
 INPUT_CLASS = "input"
 
@@ -73,45 +76,19 @@ def phase_automaton(machine: CounterMachine) -> PhaseAutomaton:
     the walk/run correspondence below is only a theorem for well-formed
     machines (they accept with all counters at zero, which is what the
     balance condition encodes)."""
-    report = validate_well_formed(machine)
-    if not report.is_well_formed:
+    explored = explore_phases(machine)
+    if explored.violations:
         raise MachineError(
             "phase abstraction needs a well-formed machine: "
-            + "; ".join(f"{v.kind}: {v.detail}" for v in report.violations))
-
-    adj = machine.outgoing()
-    start = (machine.initial, (PH_Z0,) * machine.k)
-    seen = {start}
-    frontier = [start]
-    raw_edges = []
-    while frontier:
-        state, phases = frontier.pop()
-        for t in adj[state]:
-            if not phase_consistent(t.guard, phases):
-                continue
-            for phases2 in phase_successors(phases, t.delta):
-                raw_edges.append(((state, phases), t, (t.dst, phases2)))
-                node = (t.dst, phases2)
-                if node not in seen:
-                    seen.add(node)
-                    frontier.append(node)
+            + "; ".join(f"{v.kind}: {v.detail}" for v in explored.violations))
+    start, seen, raw_edges = explored.start, explored.nodes, explored.edges
 
     final_nodes = {
         (q, ph) for (q, ph) in seen
-        if q in machine.finals and all(p in (PH_Z0, PH_ZF) for p in ph)
+        if q in machine.finals and all(p in ZERO_PHASES for p in ph)
     }
     # co-reachability prune: keep nodes that can still reach a final node
-    back: dict = {node: [] for node in seen}
-    for src, _, dst in raw_edges:
-        back[dst].append(src)
-    live = set(final_nodes)
-    stack = list(final_nodes)
-    while stack:
-        node = stack.pop()
-        for prev in back[node]:
-            if prev not in live:
-                live.add(prev)
-                stack.append(prev)
+    live = coreachable(final_nodes, ((src, dst) for src, _, dst in raw_edges))
 
     edges = []
     edge_ids = set()
@@ -149,14 +126,8 @@ def to_flow_system(pa: PhaseAutomaton) -> FlowSystem:
     flow_edges = []
     for e in pa.edges:
         t = by_label[e.transition]
-        classes = set()
-        for i, d in enumerate(t.delta, 1):
-            if d > 0:
-                classes.add(c_sym(i))
-            elif d < 0:
-                classes.add(d_sym(i))
-        if t.inp is not None:
-            classes.add(INPUT_CLASS)
+        # a well-formed transition changes at most one counter
+        classes = {t.instruction(), None if t.inp is None else INPUT_CLASS} - {None}
         flow_edges.append(FlowEdge(e.eid, e.src, e.dst, frozenset(classes)))
     balance = tuple((c_sym(i), d_sym(i)) for i in range(1, machine.k + 1))
     return FlowSystem(
@@ -173,12 +144,10 @@ def run_from_walk(pa: PhaseAutomaton, walk) -> Run:
 
     Raises MachineError unless the walk starts at pa.initial, each edge
     leaves the node the previous one entered, the walk ends in pa.finals,
-    and the replayed run passes validate_run."""
-    machine = pa.machine
+    and its transitions replay into an accepting run (machine.replay)."""
     by_edge = pa.edge_by_id()
-    by_label = machine.by_label()
     node = pa.initial
-    steps = []
+    labels = []
     for eid in walk:
         edge = by_edge.get(eid)
         if edge is None:
@@ -186,19 +155,10 @@ def run_from_walk(pa: PhaseAutomaton, walk) -> Run:
         if edge.src != node:
             raise MachineError(f"walk edge {eid!r} does not leave {node!r}")
         node = edge.dst
-        steps.append(by_label[edge.transition])
+        labels.append(edge.transition)
     if node not in pa.finals:
         raise MachineError(f"walk ends at {node!r}, not at a final node")
-    word = tuple(t.inp for t in steps if t.inp is not None)
-    configs = [initial_configuration(machine)]
-    for t in steps:
-        nxt = apply_transition(t, configs[-1], word)
-        if nxt is None:
-            raise MachineError(f"walk replay stuck at transition {t.label!r}")
-        configs.append(nxt)
-    run = Run(word, tuple(t.label for t in steps), tuple(configs))
-    validate_run(machine, run)
-    return run
+    return replay(pa.machine, labels)
 
 
 def run_to_walk(pa: PhaseAutomaton, run: Run) -> tuple[str, ...]:

@@ -101,30 +101,36 @@ def words_over(alphabet, max_len: int):
 # Random well-formed machine corpus.
 
 
+def random_machine(rng: random.Random, max_states: int = 5,
+                   max_k: int = 2) -> CounterMachine:
+    """One random machine over {a, b}; it need not be well-formed."""
+    n = rng.randint(1, max_states)
+    k = rng.randint(1, max_k)
+    states = [f"q{i}" for i in range(n)]
+    finals = rng.sample(states, rng.randint(1, n))
+    transitions = []
+    for j in range(rng.randint(2, 8)):
+        src, dst = rng.choice(states), rng.choice(states)
+        inp = rng.choice(["a", "b", None])
+        guard = list(rng.choice("zp") for _ in range(k))
+        delta = [0] * k
+        if rng.random() < 0.7:
+            i = rng.randrange(k)
+            delta[i] = rng.choice([-1, 1])
+            if guard[i] == "z" and delta[i] < 0:
+                delta[i] = 1
+        transitions.append(Transition(
+            f"t{j}", src, inp, tuple(guard), dst, tuple(delta)))
+    return CounterMachine(
+        k, frozenset("ab"), frozenset(states), states[0],
+        frozenset(finals), tuple(transitions))
+
+
 def random_well_formed(rng: random.Random, max_states: int = 5,
                        max_k: int = 2) -> CounterMachine:
     """Rejection-sample a well-formed machine over {a, b}."""
     while True:
-        n = rng.randint(1, max_states)
-        k = rng.randint(1, max_k)
-        states = [f"q{i}" for i in range(n)]
-        finals = rng.sample(states, rng.randint(1, n))
-        transitions = []
-        for j in range(rng.randint(2, 8)):
-            src, dst = rng.choice(states), rng.choice(states)
-            inp = rng.choice(["a", "b", None])
-            guard = list(rng.choice("zp") for _ in range(k))
-            delta = [0] * k
-            if rng.random() < 0.7:
-                i = rng.randrange(k)
-                delta[i] = rng.choice([-1, 1])
-                if guard[i] == "z" and delta[i] < 0:
-                    delta[i] = 1
-            transitions.append(Transition(
-                f"t{j}", src, inp, tuple(guard), dst, tuple(delta)))
-        machine = CounterMachine(
-            k, frozenset("ab"), frozenset(states), states[0],
-            frozenset(finals), tuple(transitions))
+        machine = random_machine(rng, max_states, max_k)
         if validate_well_formed(machine).is_well_formed:
             return machine
 

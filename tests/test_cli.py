@@ -65,3 +65,16 @@ def test_structured_verdict(capsys, argv, answer, budget_used):
     assert set(verdict) == {"answer", "witness", "certificate", "budget_used"}
     assert verdict["answer"] is answer
     assert verdict["budget_used"] == budget_used
+
+
+def test_enumerate_reads_max_len(capsys):
+    assert run(["enumerate", ANBN, "--max-len", "2"]) == EXIT_OK
+    assert capsys.readouterr().out.split() == ["<eps>", "ab"]
+
+
+@pytest.mark.parametrize("argv", [["empty", ANBN, "--seed", "1"],
+                                  ["member", ANBN, "ab", "--max-len", "3"]],
+                         ids=["seed", "max-len on member"])
+def test_options_a_verb_does_not_read_exit_2(capsys, argv):
+    assert run(argv) == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
