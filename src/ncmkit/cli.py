@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .build import (
     compile_linear_set,
@@ -123,7 +124,10 @@ def _budget_from(args) -> Budget:
     return Budget(limit=args.budget) if args.budget is not None else Budget()
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `ncm` parser, built on the first call and reused after it;
+    parse_args leaves it unchanged."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("text", "structured"),
                         default="text", help="report style")

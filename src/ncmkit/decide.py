@@ -2,21 +2,23 @@
 
 Every question bottoms out in balanced-walk feasibility over the phase
 automaton: emptiness and infiniteness directly, membership through a
-product with the word's position automaton, and behavior questions
-(pattern satisfaction, family inference, letter-/m-/pattern-boundedness)
-through self-describing machines intersected with regular sets.  Each
+product with the word's position automaton, letter- and m-boundedness
+through a product with the last letter read, and behavior questions
+(pattern satisfaction, family inference, pattern-boundedness) through
+self-describing machines intersected with regular sets.  Each
 procedure returns a Verdict whose witness re-validates independently
 and whose certificate says what the answer rests on.
 
 All procedures are pure: identical inputs yield identical verdicts and
 witnesses.  Long-running searches share one Budget, which jointly caps
-solver search nodes and DFA states and can be cancelled cooperatively.
+solver search nodes, DFA states and the steps of decide's own searches,
+and can be cancelled cooperatively.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .build import intersect_regular, inverse_homomorphism, self_describing
@@ -24,10 +26,8 @@ from .flows import Infeasible, pump_walk, solve, solve_unbounded
 from .machine import (
     CounterMachine,
     MachineError,
-    POS,
     Run,
     Transition,
-    ZERO,
     c_sym,
     d_sym,
     instruction_alphabet,
@@ -43,18 +43,22 @@ from .nfa import (
 from .oracle import caps_for, enumerate_language
 from .patterns import (
     InstructionExpr,
-    MachineBuilder,
     Seq,
     Star,
     Sym,
-    _all_zero,
-    _fixed,
     _stratified,
     expr_to_nfa,
     parse_pattern,
     render,
 )
-from .phase import INPUT_CLASS, PhaseAutomaton, phase_automaton, to_flow_system, witness_run
+from .phase import (
+    CHANGE_CLASS,
+    INPUT_CLASS,
+    PhaseAutomaton,
+    phase_automaton,
+    to_flow_system,
+    witness_run,
+)
 
 __all__ = [
     "Budget",
@@ -79,8 +83,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2_000_000
-
-CHANGE_SYMBOL = "1"
 
 FAMILY_TAGS_DECIDABLE = ("LBd", "LBi", "LB", "LBiLBd", "StLB")
 
@@ -218,34 +220,45 @@ def is_empty(machine: CounterMachine, budget: Budget | None = None) -> Verdict:
                    budget.used)
 
 
-def is_infinite(machine: CounterMachine, budget: Budget | None = None) -> Verdict:
-    """Is the accepted language infinite?  Yes on a pumpable witness."""
-    budget = _budget(budget)
+def _pump_search(machine: CounterMachine, growth_class: str, budget: Budget,
+                 change: frozenset = frozenset()):
+    """Phase automaton plus, when the class can grow without bound, the
+    runs of a pump's base walk and of one round of its circulation."""
     budget.check()
     pa = phase_automaton(machine)
-    fs = to_flow_system(pa)
+    fs = to_flow_system(pa, change)
     stats: dict = {}
-    pump = solve_unbounded(fs, INPUT_CLASS, node_budget=budget.node_cap(),
+    pump = solve_unbounded(fs, growth_class, node_budget=budget.node_cap(),
                            stats=stats, poll=budget.check)
     budget.charge(stats.get("nodes", 0), "pump search")
     if pump is None:
+        return pa, None
+    return pa, (witness_run(pa, pump.base), witness_run(pa, pump_walk(fs, pump, 1)))
+
+
+def is_infinite(machine: CounterMachine, budget: Budget | None = None) -> Verdict:
+    """Is the accepted language infinite?  Yes on a pumpable witness."""
+    budget = _budget(budget)
+    _, pump = _pump_search(machine, INPUT_CLASS, budget)
+    if pump is None:
         return Verdict(False, None, "no repeatable input-growing circulation",
                        budget.used)
-    base = witness_run(pa, pump.base)
-    pumped = witness_run(pa, pump_walk(fs, pump, 1))
+    base, pumped = pump
     growth = len(pumped.word) - len(base.word)
     return Verdict(True, PumpEvidence("".join(base.word), "".join(pumped.word)),
                    f"each pump round adds {growth} input letters", budget.used)
 
 
-def _word_nfa(word: tuple, alphabet) -> Nfa:
+def _word_nfa(word: tuple, alphabet, open_end: bool = False) -> Nfa:
+    """The word alone, or with open_end every word it begins."""
     n = len(word)
+    loop = {(n, a, n) for a in alphabet} if open_end else set()
     return Nfa(
         frozenset(alphabet),
         frozenset(range(n + 1)),
         frozenset({0}),
         frozenset({n}),
-        frozenset((i, word[i], i + 1) for i in range(n)),
+        frozenset((i, word[i], i + 1) for i in range(n)) | loop,
     )
 
 
@@ -384,63 +397,131 @@ def restrict_to_instructions(machine: CounterMachine, expr,
 
 # ---------------------------------------------------------------------------
 # Letter-boundedness and its relatives.
+#
+# A word's blocks are its maximal runs of one letter, and its block
+# sequence is the word with each block cut to one letter.  Ginsburg and
+# Spanier (bounded languages, 1964): L lies in a1* ... an* exactly when
+# the block sequence of every word of L is a subsequence of a1 ... an.
+# So the question splits in two: are the block sequences of L finitely
+# many, and if so, what is their shortest common supersequence?
 
 
-def _change_machine(machine: CounterMachine) -> CounterMachine:
-    """Unary machine accepting 1^j iff some accepted word has at least
-    j maximal same-letter blocks.
+def _last_letter_product(machine: CounterMachine):
+    """The machine paired with a memory of the last letter it read.
 
-    Simulates the machine on a guessed input, incrementing an extra
-    counter whenever the guessed symbol opens a new block (it differs
-    from the previous guess, or is the first), then checks the count is
-    at least the unary input length by decrementing against it.
-    """
-    k = machine.k
-    change = k + 1
-    builder = MachineBuilder(k + 1)
-    letters = sorted(machine.alphabet)
+    State (q, last) is named q/last, and q/. before the first letter; a
+    transition t leaving it is labelled t/last.  The product keeps the
+    machine's k counters and accepts the same words.  Returns it with the
+    labels of the transitions that open a block, those that read a letter
+    other than the last one.  States are explored breadth-first and
+    transitions in label order, so names and order do not depend on the
+    hash seed."""
 
     def name(q: str, last: str | None) -> str:
-        return f"{q}/{last if last is not None else '.'}"
+        return f"{q}/{'.' if last is None else last}"
 
-    silent = (0,) * k
-    for t in machine.transitions:
-        for last in [None, *letters]:
-            src = name(t.src, last)
-            if t.inp is None:
-                builder.add(src, None, name(t.dst, last),
-                            t.delta + (0,), fixed=_fixed(t.guard))
-            elif last == t.inp:
-                builder.add(src, None, name(t.dst, t.inp),
-                            t.delta + (0,), fixed=_fixed(t.guard))
-            else:
-                mid = f"{src}>{t.label}"
-                builder.add(src, None, mid, silent + (1,), fixed=_fixed(t.guard))
-                builder.add(mid, None, name(t.dst, t.inp),
-                            t.delta + (0,), fixed=_fixed(t.guard))
-    zeros = _all_zero(k)
-    read, done = "count!", "done!"
-    for f in sorted(machine.finals):
-        for last in [None, *letters]:
-            builder.add(name(f, last), None, read, None, fixed=zeros)
-    builder.add(read, CHANGE_SYMBOL, read, silent + (-1,),
-                fixed={**zeros, change: POS})
-    builder.add(read, None, read, silent + (-1,), fixed={**zeros, change: POS})
-    builder.add(read, None, done, None, fixed={**zeros, change: ZERO})
-    return builder.machine(
-        frozenset({CHANGE_SYMBOL}), name(machine.initial, None), [done])
+    adjacency = machine.outgoing()
+    start = (machine.initial, None)
+    order = [start]
+    seen = {start}
+    transitions: list[Transition] = []
+    opens = set()
+    for q, last in order:
+        for t in sorted(adjacency[q], key=lambda t: t.label):
+            nxt = last if t.inp is None else t.inp
+            label = f"{t.label}/{'.' if last is None else last}"
+            transitions.append(Transition(
+                label, name(q, last), t.inp, t.guard, name(t.dst, nxt), t.delta))
+            if t.inp is not None and t.inp != last:
+                opens.add(label)
+            if (t.dst, nxt) not in seen:
+                seen.add((t.dst, nxt))
+                order.append((t.dst, nxt))
+    product = CounterMachine(
+        machine.k, frozenset(machine.alphabet),
+        frozenset(name(*s) for s in order), name(*start),
+        frozenset(name(q, last) for q, last in order if q in machine.finals),
+        tuple(transitions))
+    return product, frozenset(opens)
 
 
-def _block_bound(change: CounterMachine, budget: Budget) -> int | None:
-    """Largest j with 1^j accepted; None when nothing is accepted.
+def _block_machine(pa: PhaseAutomaton, opens: frozenset) -> CounterMachine:
+    """Machine accepting the block sequences of the product's language.
 
-    Only called once the change machine is known finite, so the scan
-    stops at the first rejected length.
-    """
-    j = 0
-    while membership(change, (CHANGE_SYMBOL,) * j, budget).answer:
-        j += 1
-    return j - 1 if j else None
+    Keeps the transitions that lift to a phase edge; a block-opening one
+    reads its letter and every other one is silent."""
+    product = pa.machine
+    live = {e.transition for e in pa.edges}
+    transitions = tuple(
+        t if t.label in opens else replace(t, inp=None)
+        for t in product.transitions if t.label in live)
+    return replace(product, transitions=transitions)
+
+
+def _block_sequences(blocks: CounterMachine, budget: Budget) -> list[tuple]:
+    """Every word of the block machine, which must accept finitely many.
+
+    A prefix trie: a prefix p is a word when membership says so, and p·a
+    is explored when some word starts with it (the product with p·a·Σ* is
+    not empty).  Letters never repeat, since a block sequence has no two
+    equal neighbours.  Each of these queries costs one budget unit on top
+    of its search nodes."""
+    letters = sorted(blocks.alphabet)
+    found = []
+    todo = [()]
+    while todo:
+        prefix = todo.pop()
+        budget.charge(1, "block-sequence trie")
+        if membership(blocks, prefix, budget).answer:
+            found.append(prefix)
+        for a in letters:
+            if prefix and prefix[-1] == a:
+                continue
+            budget.charge(1, "block-sequence trie")
+            longer = prefix + (a,)
+            starts = intersect_regular(blocks, _word_nfa(longer, letters, open_end=True))
+            if not is_empty(starts, budget).answer:
+                todo.append(longer)
+    return sorted(found)
+
+
+def _is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(a in rest for a in short)
+
+
+def _shortest_supersequence(words, budget: Budget) -> tuple:
+    """Lexicographically least shortest common supersequence of the words.
+
+    Words that are subsequences of another word are dropped first; then a
+    breadth-first search runs over vectors of positions, one per word,
+    trying letters in sorted order.  A state is kept with the first path
+    that reaches it, which is the least path of that length, so the goal
+    is reached by the answer.  Each state costs one budget unit."""
+    words = sorted(set(words))
+    words = [w for w in words
+             if not any(v != w and _is_subsequence(w, v) for v in words)]
+    letters = sorted({a for w in words for a in w})
+    start = (0,) * len(words)
+    goal = tuple(len(w) for w in words)
+    parent: dict = {start: None}
+    order = [start]
+    for state in order:
+        budget.charge(1, "supersequence search")
+        if state == goal:
+            break
+        for a in letters:
+            nxt = tuple(i + (i < len(w) and w[i] == a)
+                        for i, w in zip(state, words))
+            if nxt not in parent:
+                parent[nxt] = (state, a)
+                order.append(nxt)
+    seq = []
+    state = goal
+    while parent[state] is not None:
+        state, a = parent[state]
+        seq.append(a)
+    return tuple(reversed(seq))
 
 
 def _sample_words(machine: CounterMachine, length: int = 6, cap: int = 40):
@@ -448,16 +529,6 @@ def _sample_words(machine: CounterMachine, length: int = 6, cap: int = 40):
     sample = enumerate_language(
         machine, caps_for(length, max_total_steps=200_000))
     return sorted(sample.as_set(), key=lambda w: (len(w), w))[:cap]
-
-
-def _covers_letters(seq, word) -> bool:
-    i = 0
-    for a in word:
-        while i < len(seq) and seq[i] != a:
-            i += 1
-        if i == len(seq):
-            return False
-    return True
 
 
 def _stars(words) -> str:
@@ -470,37 +541,29 @@ def is_letter_bounded(machine: CounterMachine,
                       budget: Budget | None = None) -> Verdict:
     """Is the language inside a1* ... an* for single letters a_i?
 
-    No comes with a pump of the change-counting machine showing the
-    alternation count grows without bound; yes returns the shortest
-    such letter sequence, verified by contained_in_regular.
+    Decided on the product of the machine with its last letter read.  No
+    comes with a pump of that product whose circulation opens a block:
+    two accepted words of the machine, the pumped one with more blocks.
+    Otherwise the block sequences are finitely many; they are enumerated
+    exactly, and yes returns their lexicographically least shortest common
+    supersequence, rechecked by contained_in_regular.
     """
     budget = _budget(budget)
-    change = _change_machine(machine)
-    growth = is_infinite(change, budget)
-    if growth.answer:
-        return Verdict(False, growth.witness,
+    product, opens = _last_letter_product(machine)
+    pa, pump = _pump_search(product, CHANGE_CLASS, budget, opens)
+    if pump is not None:
+        base, pumped = pump
+        return Verdict(False, PumpEvidence("".join(base.word), "".join(pumped.word)),
                        "letter alternations grow without bound", budget.used)
-    bound = _block_bound(change, budget)
-    if bound is None:
+    sequences = _block_sequences(_block_machine(pa, opens), budget)
+    if not sequences:
         return Verdict(True, (), "no word is accepted", budget.used)
-    letters = sorted(machine.alphabet)
-    sample = _sample_words(machine)
-    cap = max(1, len(letters)) * (bound + 1)
-    for n in range(0, cap + 1):
-        for seq in itertools.product(letters, repeat=n):
-            if any(seq[i] == seq[i + 1] for i in range(n - 1)):
-                continue
-            budget.charge(1, "letter-sequence search")
-            if not all(_covers_letters(seq, w) for w in sample):
-                continue
-            check = contained_in_regular(
-                machine, bounded_pattern_nfa([(a,) for a in seq]), budget)
-            if check.answer:
-                words = tuple((a,) for a in seq)
-                return Verdict(True, seq,
-                               f"language contained in {_stars(words)}",
-                               budget.used)
-    raise AssertionError("letter-sequence search exhausted its cover cap")
+    seq = _shortest_supersequence(sequences, budget)
+    words = tuple((a,) for a in seq)
+    check = contained_in_regular(machine, bounded_pattern_nfa(list(words)), budget)
+    if not check.answer:
+        raise AssertionError("letter sequence failed its containment recheck")
+    return Verdict(True, seq, f"language contained in {_stars(words)}", budget.used)
 
 
 def _length_mod_nfa(alphabet, m: int) -> Nfa:
@@ -516,9 +579,12 @@ def is_m_bounded(machine: CounterMachine, m: int,
                  budget: Budget | None = None) -> Verdict:
     """Is the language inside w1* ... wk* with every |w_i| = m?
 
-    Rejects fast on a word of non-multiple length, then reduces to
-    letter-boundedness of the machine reading m-letter blocks; the
-    final word sequence is re-verified by contained_in_regular.
+    Rejects fast on an accepted word whose length is not a multiple of m
+    (the witness).  Otherwise asks is_letter_bounded about the machine
+    that reads m-letter blocks as single letters: a no is its pump pair,
+    two accepted words whose m-letter blocks alternate more often in the
+    pumped one; a yes is its least shortest block sequence, re-verified
+    by contained_in_regular on the machine itself.
     """
     budget = _budget(budget)
     if m < 1:

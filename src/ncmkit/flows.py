@@ -593,13 +593,16 @@ class _Search:
         """Best-first search; accept(values) returns a result or None.
 
         An expanded node's intervals after propagation are kept as a
-        frame (parent frame, variables, intervals): the variables that
-        branching and propagation moved from the parent frame, with
-        their new intervals, interned per search.  A queued node is a
-        frame plus its branch variable's new interval.  Storing whole
-        interval lists instead would hold a copy of every variable's
-        box-sized bound per queued node, which fills memory in a
-        time-limited search that expands thousands of nodes."""
+        frame, one flat tuple (parent frame, branch variable, dirty rows,
+        v1, interval1, v2, interval2, ...): the variable its two children
+        branch on and the rows they start with, then the variables that
+        branching and propagation moved from the parent frame, with their
+        new intervals, interned per search.  A queued node is (priority,
+        tie-break, frame, the branch variable's new interval).  Storing
+        whole interval lists instead would hold a copy of every
+        variable's box-sized bound per queued node, which fills memory in
+        a time-limited search that expands thousands of nodes, and one
+        flat tuple per frame saves the headers of two more."""
         if not self.consistent:
             return None
         interned: dict = {}
@@ -609,11 +612,10 @@ class _Search:
 
         base = tuple(intern((lo, self.p.box)) for lo in self.p.lowers)
         counter = itertools.count()
-        # (priority, tie-break, frame, branch var, its interval, dirty rows)
-        heap = [(self._priority(base), next(counter), (None, None, base),
-                 None, None, None)]
+        heap = [(self._priority(base), next(counter), (None, None, None, *base),
+                 None)]
         while heap:
-            _, _, frame, var, iv, dirty = heapq.heappop(heap)
+            _, _, frame, iv = heapq.heappop(heap)
             self.used += 1
             if self.used > self.budget:
                 raise ResourceBudgetError(
@@ -621,6 +623,7 @@ class _Search:
             if self.poll is not None:
                 self.poll()
             intervals = _unfold(frame)
+            var, dirty = frame[1], frame[2]
             if var is not None:
                 intervals[var] = iv
             outcome, moved, visits = _propagate(self.rows, self.occurs,
@@ -643,18 +646,18 @@ class _Search:
                 continue
             if var is not None:
                 moved.add(var)
-            frame = (frame, tuple(moved),
-                     tuple(intern(intervals[v]) for v in moved))
             # a fixpoint narrowed in the branch variable only needs that
             # variable's rows revisited; a capped one needs all of them
             dirty = self.occurs[branch_var] if outcome == _FIXPOINT else None
+            frame = (frame, branch_var, dirty,
+                     *itertools.chain.from_iterable(
+                         (v, intern(intervals[v])) for v in moved))
             priority = self._priority(intervals)
             lo, hi = intervals[branch_var]
-            heapq.heappush(heap, (priority, next(counter), frame, branch_var,
-                                  intern((lo, lo)), dirty))
+            heapq.heappush(heap, (priority, next(counter), frame,
+                                  intern((lo, lo))))
             heapq.heappush(heap, (priority + (branch_var in self.real_set),
-                                  next(counter), frame, branch_var,
-                                  intern((lo + 1, hi)), dirty))
+                                  next(counter), frame, intern((lo + 1, hi))))
         return None
 
 
@@ -665,10 +668,10 @@ def _unfold(frame) -> list:
     while frame[0] is not None:
         chain.append(frame)
         frame = frame[0]
-    intervals = list(frame[2])
-    for _, moved, ivs in reversed(chain):
-        for v, iv in zip(moved, ivs):
-            intervals[v] = iv
+    intervals = list(frame[3:])
+    for moves in reversed(chain):
+        for i in range(3, len(moves), 2):
+            intervals[moves[i]] = moves[i + 1]
     return intervals
 
 

@@ -214,60 +214,6 @@ def validate_run(machine: CounterMachine, run: Run) -> None:
         raise MachineError("run configurations differ from its replay")
 
 
-def project_run(machine: CounterMachine, run: Run, mode: str = "instructions") -> tuple[str, ...]:
-    """Project a run to its instruction word (h_Delta) or read word (h_Sigma).
-
-    mode: 'instructions' | 'increases' | 'decreases' | 'input'
-    """
-    by_label = machine.by_label()
-    out: list[str] = []
-    for label in run.labels:
-        t = by_label[label]
-        if mode == "input":
-            if t.inp is not None:
-                out.append(t.inp)
-            continue
-        ins = t.instruction()
-        if ins is None:
-            continue
-        if mode == "instructions":
-            out.append(ins)
-        elif mode == "increases":
-            if ins.startswith("C"):
-                out.append(ins)
-        elif mode == "decreases":
-            if ins.startswith("D"):
-                out.append(ins)
-        else:
-            raise ValueError(f"unknown projection mode {mode!r}")
-    return tuple(out)
-
-
-def collapse_run(machine: CounterMachine, run: Run) -> Run:
-    """Remove configuration cycles (counter-neutral input-free loops).
-
-    The result revisits no configuration, accepts the same word, and is a
-    fixed point of this function.
-    """
-    configs = list(run.configs)
-    labels = list(run.labels)
-    i = 0
-    while i < len(configs):
-        # Find the last later occurrence of configs[i] and splice the cycle out.
-        last = None
-        for j in range(len(configs) - 1, i, -1):
-            if configs[j] == configs[i]:
-                last = j
-                break
-        if last is not None:
-            del configs[i + 1 : last + 1]
-            del labels[i:last]
-        i += 1
-    collapsed = Run(run.word, tuple(labels), tuple(configs))
-    validate_run(machine, collapsed)
-    return collapsed
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness report
 

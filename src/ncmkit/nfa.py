@@ -87,10 +87,6 @@ class Nfa:
         return out
 
 
-def _fresh(tag, n):
-    return (tag, n)
-
-
 def nfa_empty(alphabet) -> Nfa:
     q = ("empty", 0)
     return Nfa(frozenset(alphabet), frozenset([q]), frozenset([q]), frozenset(), frozenset())
@@ -190,11 +186,6 @@ def nfa_shuffle(left: Nfa, right: Nfa) -> Nfa:
     return Nfa(alpha, states, initials, finals, frozenset(trans))
 
 
-def nfa_reverse(nfa: Nfa) -> Nfa:
-    trans = frozenset((b, s, a) for a, s, b in nfa.transitions)
-    return Nfa(nfa.alphabet, nfa.states, nfa.finals, nfa.initials, trans)
-
-
 def eliminate_lambda(nfa: Nfa) -> Nfa:
     """Equivalent NFA without lambda moves (single initial kept as a set)."""
     adj = nfa.moves()
@@ -277,51 +268,6 @@ def determinize(nfa: Nfa, max_states: int = 100_000) -> Dfa:
             delta[(ci, sym)] = index[nxt]
     finals = frozenset(i for s, i in index.items() if s & nfa.finals)
     return Dfa(frozenset(nfa.alphabet), len(order), 0, finals, delta)
-
-
-def determinize_complement(nfa: Nfa, max_states: int = 100_000) -> Dfa:
-    return determinize(nfa, max_states).complement()
-
-
-def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
-    """Product over the shared alphabet; operands may carry lambda moves."""
-    a2, b2 = eliminate_lambda(a), eliminate_lambda(b)
-    alpha = a2.alphabet | b2.alphabet
-    amoves, bmoves = a2.moves(), b2.moves()
-    initials = frozenset(itertools.product(a2.initials, b2.initials))
-    trans = set()
-    states = set(initials)
-    todo = list(initials)
-    while todo:
-        (p, q) = todo.pop()
-        for sym in alpha:
-            for p2 in amoves.get((p, sym), ()):
-                for q2 in bmoves.get((q, sym), ()):
-                    node = (p2, q2)
-                    trans.add(((p, q), sym, node))
-                    if node not in states:
-                        states.add(node)
-                        todo.append(node)
-    finals = frozenset((p, q) for (p, q) in states
-                       if p in a2.finals and q in b2.finals)
-    return Nfa(alpha, frozenset(states), initials, finals, frozenset(trans))
-
-
-def nfa_is_empty(nfa: Nfa) -> bool:
-    adj: dict = {}
-    for a, _, b in nfa.transitions:
-        adj.setdefault(a, set()).add(b)
-    seen = set(nfa.initials)
-    stack = list(nfa.initials)
-    while stack:
-        q = stack.pop()
-        if q in nfa.finals:
-            return False
-        for r in adj.get(q, ()):
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return True
 
 
 def bounded_pattern_nfa(words: list[tuple]) -> Nfa:

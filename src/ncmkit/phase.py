@@ -29,10 +29,6 @@ from .flows import FlowEdge, FlowSystem, FlowWitness
 from .machine import (
     CounterMachine,
     MachineError,
-    PH_DEC,
-    PH_INC,
-    PH_Z0,
-    PH_ZF,
     Run,
     ZERO_PHASES,
     c_sym,
@@ -43,6 +39,7 @@ from .machine import (
 )
 
 INPUT_CLASS = "input"
+CHANGE_CLASS = "change"
 
 
 def _node_name(state: str, phases: tuple[str, ...]) -> str:
@@ -114,20 +111,23 @@ def phase_automaton(machine: CounterMachine) -> PhaseAutomaton:
     return PhaseAutomaton(machine, node_names, tuple(edges), initial, finals)
 
 
-def to_flow_system(pa: PhaseAutomaton) -> FlowSystem:
+def to_flow_system(pa: PhaseAutomaton, change: frozenset = frozenset()) -> FlowSystem:
     """Express accepting runs as balanced source-to-sink walks.
 
     Per counter i, edges lifting an increment carry class C_i and edges
     lifting a decrement carry class D_i; the balance pairs force equal
     usage, i.e. the counter returns to zero.  Edges that read an input
-    symbol carry the input class, so word growth is a class total."""
+    symbol carry the input class, so word growth is a class total, and
+    edges lifting a transition whose label is in `change` carry the
+    change class, so the use of those transitions is one too."""
     machine = pa.machine
     by_label = machine.by_label()
     flow_edges = []
     for e in pa.edges:
         t = by_label[e.transition]
         # a well-formed transition changes at most one counter
-        classes = {t.instruction(), None if t.inp is None else INPUT_CLASS} - {None}
+        classes = {t.instruction(), None if t.inp is None else INPUT_CLASS,
+                   CHANGE_CLASS if t.label in change else None} - {None}
         flow_edges.append(FlowEdge(e.eid, e.src, e.dst, frozenset(classes)))
     balance = tuple((c_sym(i), d_sym(i)) for i in range(1, machine.k + 1))
     return FlowSystem(
@@ -159,38 +159,6 @@ def run_from_walk(pa: PhaseAutomaton, walk) -> Run:
     if node not in pa.finals:
         raise MachineError(f"walk ends at {node!r}, not at a final node")
     return replay(pa.machine, labels)
-
-
-def run_to_walk(pa: PhaseAutomaton, run: Run) -> tuple[str, ...]:
-    """Annotate an accepting run with phases, yielding a phase-graph walk.
-
-    The inverse of run_from_walk up to the decrement-to-ZF guess: the
-    counter's final decrement is tagged as the zero-entering one."""
-    machine = pa.machine
-    by_label = machine.by_label()
-    last_dec = [None] * machine.k
-    for step, label in enumerate(run.labels):
-        t = by_label[label]
-        for i, d in enumerate(t.delta):
-            if d < 0:
-                last_dec[i] = step
-    phases = [PH_Z0] * machine.k
-    walk = []
-    known = pa.edge_by_id()
-    for step, label in enumerate(run.labels):
-        t = by_label[label]
-        src_name = _node_name(t.src, tuple(phases))
-        for i, d in enumerate(t.delta):
-            if d > 0:
-                phases[i] = PH_INC
-            elif d < 0:
-                phases[i] = PH_ZF if step == last_dec[i] else PH_DEC
-        dst_name = _node_name(t.dst, tuple(phases))
-        eid = f"{label}:{src_name}>{dst_name}"
-        if eid not in known:
-            raise MachineError(f"run step {step} has no phase edge ({eid!r})")
-        walk.append(eid)
-    return tuple(walk)
 
 
 def witness_run(pa: PhaseAutomaton, witness: FlowWitness) -> Run:

@@ -98,6 +98,24 @@ def words_over(alphabet, max_len: int):
 
 
 # ---------------------------------------------------------------------------
+# Projections of a run, read straight off its transitions.
+
+
+def behavior(machine: CounterMachine, run) -> tuple[str, ...]:
+    """The run's instruction word: C{i}/D{i} per counter change, in order."""
+    by_label = machine.by_label()
+    return tuple(ins for ins in (by_label[label].instruction()
+                                 for label in run.labels)
+                 if ins is not None)
+
+
+def letters_read(machine: CounterMachine, run) -> tuple[str, ...]:
+    by_label = machine.by_label()
+    return tuple(by_label[label].inp for label in run.labels
+                 if by_label[label].inp is not None)
+
+
+# ---------------------------------------------------------------------------
 # Random well-formed machine corpus.
 
 

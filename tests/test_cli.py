@@ -5,14 +5,21 @@ resource budget ran out before an answer.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncmkit
 from ncmkit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 ANBN = fixture_path("anbn.ncm")
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.ncm"))
+SRC = str(Path(ncmkit.__file__).resolve().parent.parent)
 
 
 def run(argv) -> int:
@@ -78,3 +85,81 @@ def test_enumerate_reads_max_len(capsys):
 def test_options_a_verb_does_not_read_exit_2(capsys, argv):
     assert run(argv) == EXIT_INPUT
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Structured answers and witnesses of the letter-bounded verbs on every
+# fixture whose cell decides in a few seconds.  Left out: letter-bounded
+# on ex2 and ex4a-m1 and infer LB on ex4a-m1, whose pump searches take
+# 15 s, 30 s and over 30 s, and m-bounded 2 on anbn-cldl, which does not
+# finish.
+LETTER_BOUNDED = [
+    ("letter-bounded", "anbn", True, "a,b"),
+    ("letter-bounded", "anbncn", True, "a,b,c"),
+    ("letter-bounded", "anbn-cldl", True, "a,b,c,d"),
+    ("letter-bounded", "loop", True, "a"),
+    ("letter-bounded", "aibjcidj", True, "a,b,c,d"),
+    ("letter-bounded", "ex3", True, "a,b"),
+    ("m-bounded 2", "anbn", True, "aa,ab,bb"),
+    ("m-bounded 2", "anbncn", False, "abc"),
+    ("m-bounded 2", "loop", False, "a"),
+    ("m-bounded 2", "aibjcidj", True, "aa,ab,ac,bb,bc,bd,cc,cd,dd"),
+    ("m-bounded 2", "ex3", False, "aabbb"),
+    ("m-bounded 2", "ex4a-m1", False, "bmb"),
+    ("m-bounded 2", "ex2", False, "abab0"),
+    ("infer LB", "anbn", True, "C1,D1"),
+    ("infer LB", "anbncn", False,
+     "C1C2C1C2D1D1D2D2,C1C2C1C2C1C2D1D1D1D2D2D2"),
+    ("infer LB", "anbn-cldl", True, "C1,D1,C2,D2"),
+    ("infer LB", "loop", True, "C1,D1"),
+    ("infer LB", "aibjcidj", True, "C1,C2,D1,D2"),
+    ("infer LB", "ex3", False, "C1C2C1C2D1D1D2D2,C1C2C1C2C1C2D1D1D1D2D2D2"),
+    ("infer LB", "ex2", True, "C1,C2,D1,D2"),
+]
+
+
+@pytest.mark.parametrize("verb, name, answer, witness", LETTER_BOUNDED,
+                         ids=[f"{v} {n}" for v, n, _, _ in LETTER_BOUNDED])
+def test_letter_bounded_verdicts(capsys, verb, name, answer, witness):
+    words = verb.split()
+    argv = [words[0], fixture_path(f"{name}.ncm"), *words[1:]]
+    assert run([*argv, "--format", "structured"]) == EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)
+    assert (verdict["answer"], verdict["witness"]) == (answer, witness)
+
+
+def test_last_letter_product_ignores_the_hash_seed():
+    script = (
+        "import sys\n"
+        "from ncmkit.decide import _last_letter_product\n"
+        "from ncmkit.machine import dump_machine, load_machine\n"
+        "for path in sys.argv[1:]:\n"
+        "    product, opens = _last_letter_product(load_machine(path))\n"
+        "    print(dump_machine(product), sorted(opens))\n")
+    paths = [fixture_path(f"{name}.ncm") for name in FIXTURE_NAMES]
+    dumps = {subprocess.run([sys.executable, "-c", script, *paths],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": SRC,
+                                 "PYTHONHASHSEED": seed}).stdout
+             for seed in ("1", "2")}
+    assert len(dumps) == 1
+
+
+def test_repeated_main_calls_print_what_separate_calls_print(capsys):
+    argvs = [
+        ["member", ANBN, "ab"],
+        ["empty", ANBN, "--format", "structured"],
+        ["enumerate", ANBN, "--max-len", "2"],
+        ["infinite", ANBN, "--budget", "1"],
+        ["classify", "--pattern", "C1*D1*", "--format", "structured"],
+        ["member", ANBN, "ab", "--max-len", "3"],
+        ["letter-bounded", ANBN],
+        ["member", ANBN, "aab", "--budget", "50", "--format", "structured"],
+    ]
+    for argv in argvs:
+        code = run(argv)
+        here = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "ncmkit.cli", *argv],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": SRC})
+        assert (code, here.out, here.err) == (
+            alone.returncode, alone.stdout, alone.stderr), argv

@@ -12,14 +12,13 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, fixture_path, random_machine
+from conftest import FIXTURES, behavior, fixture_path, random_machine
 from ncmkit.cli import EXIT_OK, main
 from ncmkit.decide import BehaviorCounterexample, satisfies
 from ncmkit.machine import (
     MachineError,
     load_machine,
     parse_machine,
-    project_run,
     replay,
     validate_run,
     validate_well_formed,
@@ -181,6 +180,6 @@ def test_satisfies(name, pattern, answer):
     run = verdict.witness.run
     validate_run(machine, run)
     assert run_word(machine, run.word).runs
-    behavior = project_run(machine, run)
-    assert "".join(behavior) == verdict.witness.behavior
-    assert not expr_to_nfa(parse_pattern(pattern), machine.k).accepts(behavior)
+    instructions = behavior(machine, run)
+    assert "".join(instructions) == verdict.witness.behavior
+    assert not expr_to_nfa(parse_pattern(pattern), machine.k).accepts(instructions)

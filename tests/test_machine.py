@@ -2,18 +2,18 @@
 
 import pytest
 
-from conftest import fixture_path
+from conftest import behavior, fixture_path, letters_read
+from ncmkit.build import self_describing
+from ncmkit.decide import membership
 from ncmkit.machine import (
     CounterMachine,
     MachineError,
     MachineFormatError,
     Run,
     Transition,
-    collapse_run,
     dump_machine,
     load_machine,
     parse_machine,
-    project_run,
     validate_run,
     validate_well_formed,
 )
@@ -160,7 +160,7 @@ class TestSimulation:
     def test_ex2_abab_has_run_with_behavior_c1c2d1d2(self):
         machine = load_machine(fixture_path("ex2.ncm"))
         found = run_word(machine, "abab", SimCaps(max_word_len=4))
-        behaviors = {project_run(machine, r) for r in found.runs}
+        behaviors = {behavior(machine, r) for r in found.runs}
         assert ("C1", "C2", "D1", "D2") in behaviors
 
     def test_anbn_rejects_aab(self):
@@ -177,23 +177,28 @@ class TestSimulation:
 
 
 class TestProjections:
+    """self_describing reads the instruction word of every accepting run."""
+
     def test_instruction_and_input_projections(self):
         machine = load_machine(fixture_path("ex2.ncm"))
         run = run_word(machine, "abab", SimCaps(max_word_len=4)).runs[0]
-        assert project_run(machine, run, "instructions") == ("C1", "C2", "D1", "D2")
-        assert project_run(machine, run, "input") == ("a", "b", "a", "b")
+        assert behavior(machine, run) == ("C1", "C2", "D1", "D2")
+        assert letters_read(machine, run) == ("a", "b", "a", "b")
+        assert membership(self_describing(machine, "full"),
+                          behavior(machine, run)).answer
 
     def test_counter_free_acceptance_projects_to_empty(self):
         machine = load_machine(fixture_path("ex3.ncm"))
         runs = run_word(machine, "aabbb", SimCaps(max_word_len=5)).runs
         assert runs
-        assert any(project_run(machine, r) == () for r in runs)
+        assert any(behavior(machine, r) == () for r in runs)
+        assert membership(self_describing(machine, "full"), ()).answer
 
     def test_input_projection_is_the_word(self):
         machine = load_machine(fixture_path("anbn.ncm"))
         for word in ("", "ab", "aabb"):
             for run in run_word(machine, word, SimCaps(max_word_len=4)).runs:
-                assert project_run(machine, run, "input") == tuple(word)
+                assert letters_read(machine, run) == tuple(word)
 
 
 def replay(machine: CounterMachine, labels, word: str) -> Run:
@@ -211,30 +216,16 @@ def replay(machine: CounterMachine, labels, word: str) -> Run:
     return run
 
 
-class TestCollapse:
-    def test_neutral_lambda_cycle_of_three_steps_is_cut(self):
+class TestRepeatFreeRuns:
+    def test_run_word_returns_only_repeat_free_runs(self):
+        # A run through loop.ncm's silent cycle revisits its start
+        # configuration; run_word keeps the run with the cycle cut out.
         machine = load_machine(fixture_path("loop.ncm"))
         plain = replay(machine, ["go:z", "read"], "a")
         spliced = replay(machine, ["cyc1", "cyc2", "cyc3", "go:z", "read"], "a")
-        collapsed = collapse_run(machine, spliced)
-        assert len(spliced.labels) - len(collapsed.labels) == 3
-        assert collapsed.word == spliced.word
-        validate_run(machine, collapsed)
-        assert collapsed == plain
-
-    def test_collapse_removes_all_repeated_triples(self):
-        machine = load_machine(fixture_path("loop.ncm"))
-        spliced = replay(machine,
-                         ["cyc1", "cyc2", "cyc3"] * 2 + ["go:z", "read"], "a")
-        collapsed = collapse_run(machine, spliced)
-        triples = [(c.state, c.pos, c.counters) for c in collapsed.configs]
-        assert len(triples) == len(set(triples))
-
-    def test_collapse_leaves_repeat_free_runs_unchanged_and_is_idempotent(self):
-        machine = load_machine(fixture_path("loop.ncm"))
-        for run in run_word(machine, "a",
-                            SimCaps(max_word_len=1, max_lambda_run=6)).runs:
-            assert collapse_run(machine, run) == run
-        spliced = replay(machine, ["cyc1", "cyc2", "cyc3", "go:z", "read"], "a")
-        once = collapse_run(machine, spliced)
-        assert collapse_run(machine, once) == once
+        runs = run_word(machine, "a",
+                        SimCaps(max_word_len=1, max_lambda_run=6)).runs
+        assert plain in runs and spliced not in runs
+        for run in runs:
+            triples = [(c.state, c.pos, c.counters) for c in run.configs]
+            assert len(triples) == len(set(triples))

@@ -11,22 +11,22 @@ import re
 
 import pytest
 
-from conftest import words_over
+from conftest import fixture_path, machine_corpus, words_over
+from ncmkit.build import intersect_regular
+from ncmkit.decide import is_empty
+from ncmkit.machine import load_machine
+from ncmkit.oracle import caps_for, enumerate_language
 from ncmkit.nfa import (
     Dfa,
     Nfa,
     ResourceBudgetError,
     bounded_pattern_nfa,
     determinize,
-    determinize_complement,
     eliminate_lambda,
     nfa_concat,
     nfa_empty,
     nfa_epsilon,
-    nfa_intersect,
-    nfa_is_empty,
     nfa_plus,
-    nfa_reverse,
     nfa_shuffle,
     nfa_star,
     nfa_symbol,
@@ -92,12 +92,6 @@ class TestCombinators:
         nfa = nfa_shuffle(nfa_star(nfa_symbol("a")), nfa_star(nfa_symbol("b")))
         assert accepted(nfa, 3) == set(words_over(AB, 3))
 
-    def test_reverse(self):
-        nfa = nfa_concat([nfa_symbol("a"), nfa_star(nfa_symbol("b"))])
-        rev = nfa_reverse(nfa)
-        assert accepted(rev, 4) == {tuple(reversed(w))
-                                    for w in accepted(nfa, 4)}
-
     def test_eliminate_lambda_preserves_language(self):
         rng = random.Random(5)
         for _ in range(30):
@@ -120,7 +114,7 @@ class TestDeterminize:
 
     def test_complement(self):
         nfa = parse_word_regex("a a* b")
-        comp = determinize_complement(nfa)
+        comp = determinize(nfa).complement()
         for w in words_over(AB, 5):
             assert comp.accepts(w) == (not nfa.accepts(w))
 
@@ -139,22 +133,26 @@ class TestDeterminize:
 
 
 class TestIntersection:
+    """Machines meet regular sets through build.intersect_regular."""
+
     def test_set_semantics(self):
         rng = random.Random(23)
-        for _ in range(25):
-            a, _ = random_regex(rng, 3)
-            b, _ = random_regex(rng, 3)
-            both = nfa_intersect(a, b)
-            expected = accepted(a, 4) & accepted(b, 4)
-            assert accepted(both, 4) == expected
+        machines = [load_machine(fixture_path("anbn.ncm")),
+                    *machine_corpus(23, 4)]
+        for machine in machines:
+            words = enumerate_language(machine, caps_for(4)).as_set()
+            for _ in range(5):
+                nfa, _ = random_regex(rng, 3)
+                both = intersect_regular(machine, nfa)
+                expected = {w for w in words if nfa.accepts(w)}
+                assert enumerate_language(both, caps_for(4)).as_set() == expected
 
     def test_emptiness(self):
-        a = parse_word_regex("a a*")
-        b = parse_word_regex("b b*")
-        assert nfa_is_empty(nfa_intersect(a, b))
-        assert not nfa_is_empty(nfa_intersect(a, parse_word_regex("a")))
-        assert nfa_is_empty(nfa_empty(AB))
-        assert not nfa_is_empty(nfa_epsilon(AB))
+        anbn = load_machine(fixture_path("anbn.ncm"))
+        assert is_empty(intersect_regular(anbn, parse_word_regex("a a*"))).answer
+        assert not is_empty(intersect_regular(anbn, parse_word_regex("a b"))).answer
+        assert is_empty(intersect_regular(anbn, nfa_empty(AB))).answer
+        assert not is_empty(intersect_regular(anbn, nfa_epsilon(AB))).answer
 
 
 class TestBoundedPattern:

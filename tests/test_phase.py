@@ -13,6 +13,7 @@ from ncmkit.flows import FlowWitness, Infeasible, solve, solve_unbounded
 from ncmkit.machine import (
     CounterMachine,
     MachineError,
+    Run,
     Transition,
     load_machine,
     parse_machine,
@@ -25,10 +26,40 @@ from ncmkit.phase import (
     PhaseAutomaton,
     phase_automaton,
     run_from_walk,
-    run_to_walk,
     to_flow_system,
     witness_run,
 )
+
+
+def run_to_walk(pa: PhaseAutomaton, run: Run) -> tuple[str, ...]:
+    """Annotate an accepting run with phases, yielding a phase-graph walk.
+
+    The test's inverse of run_from_walk, up to the decrement-to-ZF guess:
+    each counter's final decrement is tagged as the zero-entering one.
+    Node names are "<state>|<phase>,<phase>,..." and edge ids
+    "<label>:<src node>><dst node>", as phase_automaton writes them."""
+    machine = pa.machine
+    by_label = machine.by_label()
+    last_dec = {}
+    for step, label in enumerate(run.labels):
+        for i, d in enumerate(by_label[label].delta):
+            if d < 0:
+                last_dec[i] = step
+    phases = ["Z0"] * machine.k
+    walk = []
+    known = pa.edge_by_id()
+    for step, label in enumerate(run.labels):
+        t = by_label[label]
+        src = f"{t.src}|{','.join(phases)}"
+        for i, d in enumerate(t.delta):
+            if d > 0:
+                phases[i] = "INC"
+            elif d < 0:
+                phases[i] = "ZF" if step == last_dec[i] else "DEC"
+        eid = f"{label}:{src}>{t.dst}|{','.join(phases)}"
+        assert eid in known, f"run step {step} has no phase edge ({eid!r})"
+        walk.append(eid)
+    return tuple(walk)
 
 
 def anbn() -> CounterMachine:
