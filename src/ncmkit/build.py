@@ -48,13 +48,6 @@ from .phase import phase_automaton
 from .semilinear import LinearSet, SemilinearSet, is_m_positive
 
 
-def _as_word(value) -> tuple[str, ...]:
-    """Normalize a word: strings become tuples of single characters."""
-    if isinstance(value, str):
-        return tuple(value)
-    return tuple(value)
-
-
 # ---------------------------------------------------------------------------
 # Behavior projections
 
@@ -105,7 +98,7 @@ def homomorphism_image(machine: CounterMachine, image: dict) -> CounterMachine:
     missing = [a for a in sorted(machine.alphabet) if a not in image]
     if missing:
         raise MachineError(f"homomorphism undefined on {missing}")
-    words = {a: _as_word(image[a]) for a in machine.alphabet}
+    words = {a: tuple(image[a]) for a in machine.alphabet}
     zero = (0,) * machine.k
     transitions: list[Transition] = []
     states = set(machine.states)
@@ -150,7 +143,7 @@ def inverse_homomorphism(machine: CounterMachine, image: dict) -> CounterMachine
     Reading a symbol loads its image word into finite control; silent
     moves then run the original machine against the buffered symbols.
     """
-    words = {b: _as_word(w) for b, w in image.items()}
+    words = {b: tuple(w) for b, w in image.items()}
     suffixes = {()}
     for w in words.values():
         for start in range(len(w)):
@@ -189,10 +182,13 @@ def intersect_regular(machine: CounterMachine, automaton) -> CounterMachine:
 
     Silent moves advance the machine side only; the automaton may be an
     Nfa (lambda moves handled) or a Dfa.  Product transitions keep the
-    source label as a prefix ("<label>&<i>>" "<j>"), and the entry hops
-    from the fresh start state use the empty prefix ("&init>..."), so a
-    product run maps back to a run of the original machine by splitting
-    each label on its last '&'.
+    source label as a prefix ("<label>&<i>>" "<j>", i and j numbering the
+    automaton states before and after), and the entry hops from the fresh
+    start state use the empty prefix ("&init>..."), so a product run maps
+    back to a run of the original machine by splitting each label on its
+    last '&'.  This is the one product walk of the package: membership,
+    containment, pattern restriction (on the self-describing machine) and
+    the last-letter product of letter-boundedness all build on it.
     """
     nfa = automaton.to_nfa() if isinstance(automaton, Dfa) else eliminate_lambda(automaton)
     moves = nfa.moves()
@@ -288,7 +284,7 @@ def concat(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
     which is exactly the configuration of an accepting first-copy run.
     """
     builder, states = _disjoint_sum(m1, m2)
-    for f in m1.finals:
+    for f in sorted(m1.finals):
         builder.add(f"1.{f}", None, f"2.{m2.initial}", fixed=_all_zero(builder.k))
     return builder.machine(m1.alphabet | m2.alphabet, f"1.{m1.initial}",
                            [f"2.{f}" for f in m2.finals], extra_states=states)
@@ -544,7 +540,7 @@ def compile_linear_set(
     """
     if mode not in ("bdi-lbd", "lbi-bdd"):
         raise MachineError(f"unknown compile mode {mode!r}")
-    words = tuple(_as_word(w) for w in words)
+    words = tuple(tuple(w) for w in words)
     if len(words) != linear.dim:
         raise MachineError("need exactly one word per coordinate")
     if any(not w for w in words):

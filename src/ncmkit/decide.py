@@ -3,11 +3,13 @@
 Every question bottoms out in balanced-walk feasibility over the phase
 automaton: emptiness and infiniteness directly, membership through a
 product with the word's position automaton, letter- and m-boundedness
-through a product with the last letter read, and behavior questions
-(pattern satisfaction, family inference, pattern-boundedness) through
-self-describing machines intersected with regular sets.  Each
-procedure returns a Verdict whose witness re-validates independently
-and whose certificate says what the answer rests on.
+through a product with an automaton remembering the last letter read,
+and behavior questions (pattern satisfaction, restriction, family
+inference, pattern-boundedness) through self-describing machines
+intersected with regular sets.  Every one of these products is
+build.intersect_regular.  Each procedure returns a Verdict whose
+witness re-validates independently and whose certificate says what the
+answer rests on.
 
 All procedures are pure: identical inputs yield identical verdicts and
 witnesses.  Long-running searches share one Budget, which jointly caps
@@ -27,7 +29,6 @@ from .machine import (
     CounterMachine,
     MachineError,
     Run,
-    Transition,
     c_sym,
     d_sym,
     instruction_alphabet,
@@ -304,8 +305,14 @@ def contained_in_regular(machine: CounterMachine, automaton,
 # Behavior questions.
 
 
-def _as_expr(expr) -> InstructionExpr:
-    return parse_pattern(expr) if isinstance(expr, str) else expr
+def _as_expr(expr, machine: CounterMachine) -> InstructionExpr:
+    """The parsed pattern, refused when it names a counter the machine
+    lacks."""
+    expr = parse_pattern(expr) if isinstance(expr, str) else expr
+    if expr.k > machine.k:
+        raise MachineError(
+            f"pattern names counter {expr.k} but the machine has {machine.k}")
+    return expr
 
 
 def _product_labels(run: Run) -> list[str]:
@@ -325,10 +332,7 @@ def satisfies(machine: CounterMachine, expr, budget: Budget | None = None) -> Ve
     validated run of the machine realizing it.
     """
     budget = _budget(budget)
-    expr = _as_expr(expr)
-    if expr.k > machine.k:
-        raise MachineError(
-            f"pattern names counter {expr.k} but the machine has {machine.k}")
+    expr = _as_expr(expr, machine)
     sd = self_describing(machine, "full")
     dfa = determinize(expr_to_nfa(expr, machine.k), max_states=budget.node_cap())
     budget.charge(dfa.n_states, "pattern determinization")
@@ -347,10 +351,11 @@ def restrict_to_instructions(machine: CounterMachine, expr,
                              budget: Budget | None = None) -> CounterMachine:
     """Product machine that follows only behaviors inside the pattern.
 
-    The DFA of the pattern advances on instruction letters; acceptance
-    needs both sides.  The result accepts a subset of the machine's
-    language and satisfies the pattern by construction; when the
-    machine weakly satisfies it, the language is unchanged.
+    The product of the self-describing machine with the pattern's DFA,
+    each transition reading again what its source transition reads.  The
+    result accepts a subset of the machine's language and satisfies the
+    pattern by construction; when the machine weakly satisfies it, the
+    language is unchanged.
     """
     budget = _budget(budget)
     if isinstance(expr, Dfa):
@@ -358,41 +363,14 @@ def restrict_to_instructions(machine: CounterMachine, expr,
     elif isinstance(expr, Nfa):
         nfa = expr
     else:
-        nfa = expr_to_nfa(_as_expr(expr), machine.k)
-    alpha = frozenset(instruction_alphabet(machine.k)) | nfa.alphabet
-    nfa = Nfa(alpha, nfa.states, nfa.initials, nfa.finals, nfa.transitions)
+        nfa = expr_to_nfa(_as_expr(expr, machine), machine.k)
     dfa = determinize(nfa, max_states=budget.node_cap())
     budget.charge(dfa.n_states, "pattern determinization")
-
-    def name(q: str, d: int) -> str:
-        return f"{q}%{d}"
-
-    adjacency = machine.outgoing()
-    transitions: list[Transition] = []
-    finals = []
-    states = set()
-    start = (machine.initial, dfa.initial)
-    seen = {start}
-    todo = [start]
-    while todo:
-        q, d = todo.pop()
-        states.add(name(q, d))
-        if q in machine.finals and d in dfa.finals:
-            finals.append(name(q, d))
-        for t in sorted(adjacency[q], key=lambda t: t.label):
-            sym = t.instruction()
-            d2 = dfa.step(d, sym) if sym is not None else d
-            transitions.append(Transition(
-                f"{t.label}%{d}", name(q, d), t.inp, t.guard, name(t.dst, d2), t.delta))
-            if (t.dst, d2) not in seen:
-                seen.add((t.dst, d2))
-                todo.append((t.dst, d2))
-    for t in transitions:
-        states.add(t.dst)
-    return CounterMachine(
-        machine.k, frozenset(machine.alphabet), frozenset(states),
-        name(*start), frozenset(finals), tuple(transitions),
-    )
+    product = intersect_regular(self_describing(machine, "full"), dfa)
+    reads = {t.label: t.inp for t in machine.transitions}
+    transitions = tuple(replace(t, inp=reads.get(t.label.rsplit("&", 1)[0]))
+                        for t in product.transitions)
+    return replace(product, alphabet=machine.alphabet, transitions=transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -409,39 +387,21 @@ def restrict_to_instructions(machine: CounterMachine, expr,
 def _last_letter_product(machine: CounterMachine):
     """The machine paired with a memory of the last letter it read.
 
-    State (q, last) is named q/last, and q/. before the first letter; a
-    transition t leaving it is labelled t/last.  The product keeps the
-    machine's k counters and accepts the same words.  Returns it with the
-    labels of the transitions that open a block, those that read a letter
-    other than the last one.  States are explored breadth-first and
-    transitions in label order, so names and order do not depend on the
-    hash seed."""
-
-    def name(q: str, last: str | None) -> str:
-        return f"{q}/{'.' if last is None else last}"
-
-    adjacency = machine.outgoing()
-    start = (machine.initial, None)
-    order = [start]
-    seen = {start}
-    transitions: list[Transition] = []
+    intersect_regular with an automaton whose state is the last letter
+    read, or None before the first one.  The product keeps the machine's
+    k counters and accepts the same words.  Returns it with the labels of
+    the transitions that open a block: those whose automaton move changes
+    state, because they read a letter other than the last one."""
+    letters = sorted(machine.alphabet)
+    states = frozenset([None, *letters])
+    memory = Nfa(frozenset(letters), states, frozenset([None]), states,
+                 frozenset((s, a, a) for s in states for a in letters))
+    product = intersect_regular(machine, memory)
     opens = set()
-    for q, last in order:
-        for t in sorted(adjacency[q], key=lambda t: t.label):
-            nxt = last if t.inp is None else t.inp
-            label = f"{t.label}/{'.' if last is None else last}"
-            transitions.append(Transition(
-                label, name(q, last), t.inp, t.guard, name(t.dst, nxt), t.delta))
-            if t.inp is not None and t.inp != last:
-                opens.add(label)
-            if (t.dst, nxt) not in seen:
-                seen.add((t.dst, nxt))
-                order.append((t.dst, nxt))
-    product = CounterMachine(
-        machine.k, frozenset(machine.alphabet),
-        frozenset(name(*s) for s in order), name(*start),
-        frozenset(name(q, last) for q, last in order if q in machine.finals),
-        tuple(transitions))
+    for t in product.transitions:
+        before, after = t.label.rsplit("&", 1)[1].split(">")
+        if t.inp is not None and before != after:
+            opens.add(t.label)
     return product, frozenset(opens)
 
 

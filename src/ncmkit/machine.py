@@ -1,11 +1,12 @@
 """One-way nondeterministic counter machines with zero-test guards.
 
 A machine has k counters holding naturals.  Every transition carries a
-guard over {z, p} (counter empty / counter positive) and a delta vector
-with entries in {-1, 0, +1}.  Acceptance: input consumed and control in a
-final state.  Well-formed machines additionally make at most one counter
-change per transition, are 1-reversal per counter, and can only accept
-with all counters empty; `validate_well_formed` checks this statically.
+guard over {z, p, *} (counter empty / counter positive / either) and a
+delta vector with entries in {-1, 0, +1}.  Acceptance: input consumed
+and control in a final state.  Well-formed machines additionally make at
+most one counter change per transition, are 1-reversal per counter, and
+can only accept with all counters empty; `validate_well_formed` checks
+this statically.
 
 Two mechanisms live here once for the whole package.  `explore_phases`
 is the one walk over the reachable state x phase product: the
@@ -23,9 +24,10 @@ from dataclasses import dataclass, field
 
 ZERO = "z"
 POS = "p"
-# Text-format shorthand for "either z or p".  parse_machine expands it into
-# one concrete copy per choice, as MachineBuilder does for the guard
-# positions it leaves free; a Transition guard never holds it.
+# Guard entry "either z or p": the transition fires whatever the counter
+# holds.  Never on a counter the transition decrements.  MachineBuilder
+# emits it for the guard positions it leaves free; parse_machine expands it
+# into one concrete copy per choice, so parsed machines never hold it.
 ANY = "*"
 
 LAMBDA_TOKEN = "@"
@@ -69,22 +71,21 @@ class Transition:
     label: str
     src: str
     inp: str | None  # None reads no input
-    guard: tuple[str, ...]  # 'z' / 'p' per counter, concrete
+    guard: tuple[str, ...]  # 'z' / 'p' / '*' per counter
     dst: str
     delta: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.guard) != len(self.delta):
             raise MachineError(f"transition {self.label}: guard/delta length mismatch")
-        for g in self.guard:
-            if g not in (ZERO, POS):
-                raise MachineError(f"transition {self.label}: bad guard entry {g!r}")
         for g, d in zip(self.guard, self.delta):
+            if g not in (ZERO, POS, ANY):
+                raise MachineError(f"transition {self.label}: bad guard entry {g!r}")
             if d not in (-1, 0, 1):
                 raise MachineError(f"transition {self.label}: bad delta entry {d}")
-            if g == ZERO and d < 0:
+            if g != POS and d < 0:
                 raise MachineError(
-                    f"transition {self.label}: decrement under empty-counter guard"
+                    f"transition {self.label}: decrement needs a positive-counter guard"
                 )
 
     def instruction(self) -> str | None:
@@ -154,7 +155,7 @@ class Run:
 
 
 def guard_matches(guard: tuple[str, ...], counters: tuple[int, ...]) -> bool:
-    return all((c == 0) == (g == ZERO) for g, c in zip(guard, counters))
+    return all(g == ANY or (c == 0) == (g == ZERO) for g, c in zip(guard, counters))
 
 
 def apply_transition(
@@ -297,21 +298,15 @@ def coreachable(targets, arcs) -> set:
 
 
 def _check_determinism(machine: CounterMachine) -> bool:
-    groups: dict[tuple[str, tuple[str, ...]], list[Transition]] = {}
-    for t in machine.transitions:
-        groups.setdefault((t.src, t.guard), []).append(t)
-    for group in groups.values():
-        moves = {(t.inp, t.dst, t.delta) for t in group}
-        by_inp: dict[str | None, set] = {}
-        for inp, dst, delta in moves:
-            by_inp.setdefault(inp, set()).add((dst, delta))
-        lam = by_inp.get(None, set())
-        if len(lam) > 1:
-            return False
-        if lam and len(by_inp) > 1:
-            return False
-        for inp, targets in by_inp.items():
-            if inp is not None and len(targets) > 1:
+    """No configuration admits two different moves that both read its next
+    letter or that include a silent one.  Two guards both hold on some
+    counter values exactly when they agree wherever neither is '*'."""
+    for moves in machine.outgoing().values():
+        for t1, t2 in itertools.combinations(moves, 2):
+            if (None in (t1.inp, t2.inp) or t1.inp == t2.inp) \
+                    and (t1.inp, t1.dst, t1.delta) != (t2.inp, t2.dst, t2.delta) \
+                    and all(ANY in (g1, g2) or g1 == g2
+                            for g1, g2 in zip(t1.guard, t2.guard)):
                 return False
     return True
 

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .machine import (
+    ANY,
     POS,
     ZERO,
     CounterMachine,
@@ -22,8 +23,6 @@ from .machine import (
     c_sym,
     coreachable,
     d_sym,
-    decrease_alphabet,
-    increase_alphabet,
     instruction_alphabet,
 )
 from .nfa import (
@@ -523,23 +522,14 @@ def is_distinct(expr: InstructionExpr | object) -> bool:
 # Machine construction helpers
 
 
-def _concrete_guards(k: int, fixed: dict[int, str] | None = None):
-    slots = []
-    for i in range(1, k + 1):
-        pin = (fixed or {}).get(i)
-        slots.append((pin,) if pin else (ZERO, POS))
-    return itertools.product(*slots)
-
-
 class MachineBuilder:
-    """Accumulates transitions, expanding unconstrained guard positions."""
+    """Accumulates transitions; guard positions left open are '*'."""
 
     def __init__(self, k: int) -> None:
         self.k = k
         self.transitions: list[Transition] = []
         self.states: set[str] = set()
         self._seen: set[tuple] = set()
-        self._n = 0
 
     def add(
         self,
@@ -550,17 +540,14 @@ class MachineBuilder:
         fixed: dict[int, str] | None = None,
     ) -> None:
         delta = delta or (0,) * self.k
+        guard = tuple((fixed or {}).get(i, ANY) for i in range(1, self.k + 1))
         self.states.add(src)
         self.states.add(dst)
-        for guard in _concrete_guards(self.k, fixed):
-            key = (src, inp, guard, dst, delta)
-            if key in self._seen:
-                continue
+        key = (src, inp, guard, dst, delta)
+        if key not in self._seen:
             self._seen.add(key)
-            self.transitions.append(
-                Transition(f"t{self._n}", src, inp, guard, dst, delta)
-            )
-            self._n += 1
+            self.transitions.append(Transition(
+                f"t{len(self.transitions)}", src, inp, guard, dst, delta))
 
     def machine(
         self, alphabet, initial: str, finals, extra_states=()
@@ -582,7 +569,7 @@ def _unit(k: int, i: int, change: int) -> tuple[int, ...]:
 
 
 def _fixed(guard) -> dict[int, str]:
-    """A concrete guard tuple as a MachineBuilder fixed-entry map."""
+    """A guard tuple as a MachineBuilder fixed-entry map."""
     return {i: g for i, g in enumerate(guard, start=1)}
 
 
@@ -687,8 +674,8 @@ def _generator_lb(k: int) -> CounterMachine:
 
     accept_from = [start]
     for used in _legal_used_sets(k):
-        sources = [start] if not used else [name(used, cur) for cur in used]
-        for cur in used:
+        sources = [start] if not used else [name(used, cur) for cur in sorted(used)]
+        for cur in sorted(used):
             i = int(cur[1:])
             state = name(used, cur)
             accept_from.append(state)

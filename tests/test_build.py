@@ -2,16 +2,18 @@
 
 union and concat copy both operands with one disjoint-sum loop; sbd_form
 reads its words with the repeated-word loops of the BDiLBd and LBiBDd
-generators; reversal runs the phase automaton backwards.  Each result
-must be well-formed and accept the expected language up to a horizon.
+generators; reversal runs the phase automaton backwards;
+inverse_homomorphism buffers image words in its finite control.  Each
+result must be well-formed and accept the expected language up to a
+horizon.
 """
 
 import itertools
 
 import pytest
 
-from conftest import FIXTURES, fixture_path
-from ncmkit.build import concat, reversal, sbd_form, union
+from conftest import FIXTURES, fixture_path, words_over
+from ncmkit.build import concat, inverse_homomorphism, reversal, sbd_form, union
 from ncmkit.machine import load_machine, validate_well_formed
 from ncmkit.oracle import bounded_equiv, caps_for, enumerate_language
 from ncmkit.patterns import generator
@@ -116,3 +118,21 @@ def test_sbd_form_matches_the_bdilbd_generator(k):
     report = bounded_equiv(short, full, 8)
     assert report.status == "equal", report
     assert language(short, 8) == repeated_words(k, 8, "C")
+
+
+MAPS = [{"x": "a", "y": "b", "z": "ab", "w": "c"},
+        {"u": "a", "v": "", "w": "bc", "d": "d"}]
+
+
+@pytest.mark.parametrize("image", MAPS, ids=["x=a,y=b,z=ab,w=c", "u=a,v=,w=bc,d=d"])
+@pytest.mark.parametrize("name", ["anbn", "anbncn", "aibjcidj", "anbn-cldl"])
+def test_inverse_homomorphism_accepts_the_preimage(name, image):
+    machine = load(name)
+    pulled = inverse_homomorphism(machine, image)
+    assert_well_formed(pulled)
+    longest = max(len(w) for w in image.values())
+    words = language(machine, 4 * longest)
+    expected = {w for w in words_over(image, 4)
+                if tuple("".join(image[b] for b in w)) in words}
+    assert language(pulled, 4) == expected
+

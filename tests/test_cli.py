@@ -74,6 +74,12 @@ def test_structured_verdict(capsys, argv, answer, budget_used):
     assert verdict["budget_used"] == budget_used
 
 
+@pytest.mark.parametrize("verb", ["satisfies", "restrict"])
+def test_pattern_naming_a_missing_counter_exits_2(capsys, verb):
+    assert run([verb, ANBN, "--pattern", "C3*"]) == EXIT_INPUT
+    assert "counter 3" in capsys.readouterr().err
+
+
 def test_enumerate_reads_max_len(capsys):
     assert run(["enumerate", ANBN, "--max-len", "2"]) == EXIT_OK
     assert capsys.readouterr().out.split() == ["<eps>", "ab"]
@@ -127,20 +133,48 @@ def test_letter_bounded_verdicts(capsys, verb, name, answer, witness):
     assert (verdict["answer"], verdict["witness"]) == (answer, witness)
 
 
+# Prints the dump of every construction; the dumps must not depend on
+# the hash seed, because labels give phase-edge ids and with them the
+# branch order of the flow search.
+CONSTRUCTIONS = """
+import sys
+from ncmkit.build import (concat, distinct_normal_form, homomorphism_image,
+    intersect_regular, inverse_homomorphism, reversal, sbd_form,
+    trio_decomposition, union)
+from ncmkit.decide import _last_letter_product, restrict_to_instructions
+from ncmkit.machine import dump_machine, load_machine
+from ncmkit.nfa import parse_word_regex
+from ncmkit.patterns import GENERATOR_TAGS, generator, parse_pattern
+
+fixtures = {path.rsplit("/", 1)[-1][:-4]: load_machine(path)
+            for path in sys.argv[1:]}
+anbn, loop, ex2 = fixtures["anbn"], fixtures["loop"], fixtures["ex2"]
+both = union(anbn, loop)
+built = [generator(tag, k) for tag in GENERATOR_TAGS for k in (1, 2, 3)]
+built += [sbd_form(k) for k in (1, 2, 3)]
+built += [both, union(ex2, anbn), concat(both, anbn), concat(anbn, both)]
+built += [reversal(ex2), reversal(generator("LB", 2)),
+          homomorphism_image(ex2, {"a": "xy", "b": "", "0": "0", "1": "1"}),
+          inverse_homomorphism(anbn, {"x": "ab", "y": "a", "z": ""}),
+          intersect_regular(ex2, parse_word_regex("(a|b)* 0 (0|1)*")),
+          distinct_normal_form(parse_pattern("C1* D1* C1* D1*")),
+          restrict_to_instructions(ex2, "C1* C2* D1* D2*")]
+built += [_last_letter_product(m)[0] for m in fixtures.values()]
+for machine in built:
+    print(dump_machine(machine))
+decomposition = trio_decomposition(ex2)
+print(decomposition.gamma, sorted(decomposition.control.transitions))
+print([sorted(_last_letter_product(m)[1]) for m in fixtures.values()])
+"""
+
+
 def test_last_letter_product_ignores_the_hash_seed():
-    script = (
-        "import sys\n"
-        "from ncmkit.decide import _last_letter_product\n"
-        "from ncmkit.machine import dump_machine, load_machine\n"
-        "for path in sys.argv[1:]:\n"
-        "    product, opens = _last_letter_product(load_machine(path))\n"
-        "    print(dump_machine(product), sorted(opens))\n")
     paths = [fixture_path(f"{name}.ncm") for name in FIXTURE_NAMES]
-    dumps = {subprocess.run([sys.executable, "-c", script, *paths],
+    dumps = {subprocess.run([sys.executable, "-c", CONSTRUCTIONS, *paths],
                             capture_output=True, text=True, check=True,
                             env={**os.environ, "PYTHONPATH": SRC,
                                  "PYTHONHASHSEED": seed}).stdout
-             for seed in ("1", "2")}
+             for seed in ("1", "2", "3")}
     assert len(dumps) == 1
 
 

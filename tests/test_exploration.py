@@ -14,7 +14,11 @@ import pytest
 
 from conftest import FIXTURES, behavior, fixture_path, random_machine
 from ncmkit.cli import EXIT_OK, main
-from ncmkit.decide import BehaviorCounterexample, satisfies
+from ncmkit.decide import (
+    BehaviorCounterexample,
+    restrict_to_instructions,
+    satisfies,
+)
 from ncmkit.machine import (
     MachineError,
     load_machine,
@@ -183,3 +187,24 @@ def test_satisfies(name, pattern, answer):
     instructions = behavior(machine, run)
     assert "".join(instructions) == verdict.witness.behavior
     assert not expr_to_nfa(parse_pattern(pattern), machine.k).accepts(instructions)
+
+
+@pytest.mark.parametrize("pattern", ["C1*D1*", "(C1D1)*", "C1*C2*D1*D2*"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_restrict_keeps_the_words_of_runs_inside_the_pattern(name, pattern):
+    """Up to length 5, the restricted machine accepts exactly the words
+    with an oracle run whose behavior the pattern accepts."""
+    machine = load_machine(fixture_path(f"{name}.ncm"))
+    expr = parse_pattern(pattern)
+    if expr.k > machine.k:
+        with pytest.raises(MachineError, match="counter"):
+            restrict_to_instructions(machine, expr)
+        return
+    nfa = expr_to_nfa(expr, machine.k)
+    sample = enumerate_language(machine, caps_for(5))
+    expected = {w for w in sample.words
+                if any(nfa.accepts(behavior(machine, run))
+                       for run in run_word(machine, w).runs)}
+    restricted = restrict_to_instructions(machine, expr)
+    assert enumerate_language(restricted, caps_for(5)).as_set() == expected
+

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import behavior, fixture_path, letters_read
-from ncmkit.build import self_describing
+from ncmkit.build import distinct_normal_form, sbd_form, self_describing
 from ncmkit.decide import membership
 from ncmkit.machine import (
     CounterMachine,
@@ -17,11 +17,43 @@ from ncmkit.machine import (
     validate_run,
     validate_well_formed,
 )
-from ncmkit.oracle import SimCaps, run_word
+from ncmkit.oracle import SimCaps, bounded_equiv, run_word
+from ncmkit.patterns import (
+    GENERATOR_TAGS,
+    MachineBuilder,
+    eq_acceptor,
+    generator,
+    parse_pattern,
+)
 
 
 def tiny(text: str) -> CounterMachine:
     return parse_machine(text)
+
+
+def silent_choice(second_guard: dict) -> CounterMachine:
+    """Two silent moves out of the initial state, under the guard z* and
+    under second_guard; they overlap unless second_guard pins counter 1
+    positive."""
+    builder = MachineBuilder(2)
+    builder.add("s", None, "t", fixed={1: "z"})
+    builder.add("s", None, "u", fixed=second_guard)
+    return builder.machine("a", "s", ["t", "u"])
+
+
+def built_machines():
+    """(name, machine) pairs of constructions whose guards hold '*'."""
+    out = [(f"generator {tag} {k}", generator(tag, k))
+           for tag in GENERATOR_TAGS for k in (1, 2, 3)]
+    out += [(f"sbd_form {k}", sbd_form(k)) for k in (1, 2, 3)]
+    for text in ("C1* D1* C1* D1*", "C1* C2* D2* D1*", "(C1 C2)* D1* D2*"):
+        out.append((f"eq_acceptor {text}", eq_acceptor(parse_pattern(text))))
+    for text in ("C1* D1* C1* D1*", "C1* C2* D1* D2* C2* D2*", "C1* C2* D1* D2*"):
+        out.append((f"normalize {text}",
+                    distinct_normal_form(parse_pattern(text))))
+    out.append(("z* and ** silent moves", silent_choice({})))
+    out.append(("z* and p* silent moves", silent_choice({1: "p"})))
+    return out
 
 
 class TestParsing:
@@ -31,10 +63,18 @@ class TestParsing:
         assert machine.alphabet == frozenset("ab")
 
     def test_round_trip_is_label_preserving(self):
+        """Parsed machines come back equal.  Built machines hold '*' guards,
+        which the parser expands into concrete copies under new labels, so
+        they come back with the same determinism flag and language."""
         for name in ("anbn", "ex2", "ex3", "ex4a-m1", "anbncn", "loop"):
             machine = load_machine(fixture_path(f"{name}.ncm"))
             again = parse_machine(dump_machine(machine))
             assert again == machine
+        for name, machine in built_machines():
+            again = parse_machine(dump_machine(machine))
+            assert (validate_well_formed(again).is_deterministic
+                    == validate_well_formed(machine).is_deterministic), name
+            assert bounded_equiv(machine, again, 6).status == "equal", name
 
     def test_guard_wildcard_expands_both_variants(self):
         machine = tiny("""
@@ -75,8 +115,10 @@ class TestParsing:
             """)
 
     def test_zero_guard_forbids_decrement(self):
-        with pytest.raises(MachineError):
-            Transition("t", "s", "a", ("z",), "s", (-1,))
+        for guard in ("z", "*"):
+            with pytest.raises(MachineError):
+                Transition("t", "s", "a", (guard,), "s", (-1,))
+        Transition("t", "s", "a", ("*",), "s", (1,))
 
     def test_dangling_state_rejected(self):
         with pytest.raises(MachineError):
