@@ -550,15 +550,19 @@ def is_m_bounded(machine: CounterMachine, m: int,
     budget = _budget(budget)
     if m < 1:
         raise ValueError("m must be at least 1")
+    letters = sorted(machine.alphabet)
+    budget.charge(m, "length automaton")
+    budget.charge(len(letters) ** m, "block alphabet")
     stray = intersect_regular(machine, _length_mod_nfa(machine.alphabet, m))
     bad = is_empty(stray, budget)
     if not bad.answer:
         return Verdict(False, bad.witness,
                        f"accepted word of length not divisible by {m}",
                        budget.used)
-    letters = sorted(machine.alphabet)
-    budget.charge(len(letters) ** m, "block alphabet")
-    image = {"".join(block): block
+    # A block is named by its letters run together, which tells blocks
+    # apart only when every letter is one character long.
+    short = all(len(a) == 1 for a in letters)
+    image = {"".join(block) if short else f"[{' '.join(block)}]": block
              for block in itertools.product(letters, repeat=m)}
     blocks = inverse_homomorphism(machine, image)
     inner = is_letter_bounded(blocks, budget)

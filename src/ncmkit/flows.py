@@ -96,8 +96,6 @@ class FlowWitness:
 @dataclass(frozen=True)
 class Infeasible:
     reason: str
-    box_bound: int
-    bound_note: str
 
 
 @dataclass(frozen=True)
@@ -361,7 +359,9 @@ def _trim(fs: FlowSystem):
     return kept, kept_sinks
 
 
-def _box_bound(n_vars: int, rows: list[_Row], lowers: list[int]) -> tuple[int, str]:
+def _box_bound(n_vars: int, rows: list[_Row], lowers: list[int]) -> int:
+    """n*(m*a)^(2m+1) for n variables, m rows and largest magnitude a: a
+    feasible system has a solution with every variable inside it."""
     coeff_max = 1
     for row in rows:
         for c in row.coeffs.values():
@@ -370,16 +370,7 @@ def _box_bound(n_vars: int, rows: list[_Row], lowers: list[int]) -> tuple[int, s
     for lo in lowers:
         coeff_max = max(coeff_max, lo)
     m = max(1, len(rows))
-    bound = n_vars * (m * coeff_max) ** (2 * m + 1) if n_vars else 0
-    digits = str(bound)
-    shown = digits if len(digits) <= 40 else f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
-    note = (
-        f"any feasible system has a solution inside 0 <= y_i <= "
-        f"n*(m*a)^(2m+1) = {shown} (n={n_vars} variables, m={m} rows, "
-        f"a={coeff_max} largest magnitude); the search is exhaustive "
-        f"within that box"
-    )
-    return bound, note
+    return n_vars * (m * coeff_max) ** (2 * m + 1)
 
 
 def _edge_depths(edges: list[FlowEdge], source: str) -> dict:
@@ -413,7 +404,6 @@ class _Problem:
     z_of_edge: dict          # eid -> var index of the circulation, if any
     sink_of_var: dict        # var index -> sink node
     box: int
-    note: str
 
 
 def _dedup_rows(rows: list[_Row]) -> list[_Row]:
@@ -503,7 +493,7 @@ def _assemble(fs: FlowSystem, kept: list[FlowEdge], kept_sinks: list,
         rows.append(_Row(coeffs, 1, _GE))
 
     rows = _dedup_rows(rows)
-    box, note = _box_bound(len(var_names), rows, lowers)
+    box = _box_bound(len(var_names), rows, lowers)
     real_vars = [y_of_edge[e.eid] for e in kept]
     if with_circulation:
         real_vars += [z_of_edge[e.eid] for e in kept]
@@ -520,7 +510,7 @@ def _assemble(fs: FlowSystem, kept: list[FlowEdge], kept_sinks: list,
     branch_order = sorted(range(len(var_names)), key=lambda i: edge_rank[i])
 
     return _Problem(var_names, lowers, rows, branch_order, real_vars,
-                    y_of_edge, z_of_edge, sink_of_var, box, note)
+                    y_of_edge, z_of_edge, sink_of_var, box)
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +858,7 @@ def solve(fs: FlowSystem, node_budget: int = DEFAULT_NODE_BUDGET,
     """Find a balanced source-to-sink walk, or prove none exists.
 
     Returns a FlowWitness (with the realizing walk) or an Infeasible
-    carrying the reason and the search-box note that makes the negative
-    answer auditable.  Raises ResourceBudgetError when the budget runs
+    carrying the reason.  Raises ResourceBudgetError when the budget runs
     out before either conclusion.  When stats is a dict, the simplex
     pivots of the rational relaxation are written to stats['lp_pivots'],
     and once a search ran, the number of search nodes expanded to
@@ -903,14 +892,12 @@ def _solve(fs: FlowSystem, growth_class: str | None, node_budget: int,
     trimmed = _trim(fs)
     if trimmed is None:
         return Infeasible("an edge with a positive lower bound lies on no "
-                          "source-to-sink path", *_box_bound(0, [], []))
+                          "source-to-sink path")
     kept, kept_sinks = trimmed
     if not kept_sinks:
-        return Infeasible("no sink is reachable from the source",
-                          *_box_bound(0, [], []))
+        return Infeasible("no sink is reachable from the source")
     if growth_class is not None and not any(growth_class in e.classes for e in kept):
-        return Infeasible(f"no usable edge carries class {growth_class!r}",
-                          *_box_bound(0, [], []))
+        return Infeasible(f"no usable edge carries class {growth_class!r}")
 
     problem = _assemble(fs, kept, kept_sinks, growth_class)
     z_vars = set(problem.z_of_edge.values())
@@ -926,7 +913,7 @@ def _solve(fs: FlowSystem, growth_class: str | None, node_budget: int,
         stats["lp_pivots"] = lp_pivots
     if not feasible:
         return Infeasible("the balance and conservation constraints admit no "
-                          "fractional solution", problem.box, problem.note)
+                          "fractional solution")
     search = _Search(problem, node_budget, poll)
 
     def accept(values):
@@ -957,7 +944,7 @@ def _solve(fs: FlowSystem, growth_class: str | None, node_budget: int,
             stats["row_visits"] = search.row_visits
     if found is None:
         return Infeasible("the balance and conservation constraints admit no "
-                          "usable assignment", problem.box, problem.note)
+                          "usable assignment")
     base, circulation = found
     problems = validate_witness(fs, base)
     if growth_class is not None:

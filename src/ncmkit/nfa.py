@@ -1,15 +1,20 @@
 """Finite automata over arbitrary hashable symbols.
 
 Thompson-style combinators (concat, union, star, shuffle), lambda
-elimination, subset-construction determinization with a state budget,
-complement, product, reversal, and bounded word enumeration.  Used for
-instruction patterns, regular operands of closure operations, and the
+elimination, and subset-construction determinization with a state
+budget, whose Dfa complements.  Also the package's one regular-expression
+front end: parse_regex reads a token list into a tree of Seq, Alt, Star,
+Plus and Shuffle nodes, and regex_to_nfa folds such a tree into an Nfa.
+Instruction patterns (patterns.py) and the word regexes of
+parse_word_regex differ only in their tokenizers and leaves.  The
+automata serve patterns, regular operands of closure operations, and the
 regular components of decision procedures.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 
@@ -55,36 +60,6 @@ class Nfa:
             if not current:
                 return False
         return bool(current & self.finals)
-
-    def enumerate_words(self, max_len: int) -> list[tuple]:
-        """All accepted words of length <= max_len, length-lexicographic."""
-        adj = self.moves()
-        symbols = sorted(self.alphabet, key=repr)
-        out = []
-        start = self.lambda_closure(self.initials, adj)
-        layer = {start: [()]} if start else {}
-        words_by_set: dict = {start: [()]} if start else {}
-        # BFS over (state-set) per word; state-sets dedup per exact word, so
-        # enumerate words directly, one length stratum at a time.
-        frontier = [((), start)]
-        if start & self.finals:
-            out.append(())
-        for _ in range(max_len):
-            nxt_frontier = []
-            for word, cur in frontier:
-                for sym in symbols:
-                    moved = set()
-                    for q in cur:
-                        moved |= adj.get((q, sym), set())
-                    if not moved:
-                        continue
-                    closed = self.lambda_closure(frozenset(moved), adj)
-                    w2 = word + (sym,)
-                    nxt_frontier.append((w2, closed))
-                    if closed & self.finals:
-                        out.append(w2)
-            frontier = nxt_frontier
-        return out
 
 
 def nfa_empty(alphabet) -> Nfa:
@@ -278,32 +253,153 @@ def bounded_pattern_nfa(words: list[tuple]) -> Nfa:
     return Nfa(alpha, out.states, out.initials, out.finals, out.transitions)
 
 
+
+
 # ---------------------------------------------------------------------------
-# Plain regular expressions over whitespace-friendly symbol tokens.
+# Regular expressions: one grammar and one tree for instruction patterns
+# (patterns.py) and word regexes, and one Thompson construction over it.
 
-_RESERVED = set("()|*+")
 
-# Deepest group nesting the recursive-descent parsers (here and in
-# patterns.py) accept: each level takes four Python frames, and deeper
-# input would exhaust the interpreter's recursion limit.
+@dataclass(frozen=True)
+class Seq:
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class Alt:
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class Star:
+    body: object
+
+
+@dataclass(frozen=True)
+class Plus:
+    body: object
+
+
+@dataclass(frozen=True)
+class Shuffle:
+    left: object
+    right: object
+
+
+class PatternSyntaxError(ValueError):
+    """Raised when a pattern or regex does not parse; carries the offset."""
+
+    def __init__(self, message: str, position: int) -> None:
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+# Deepest nesting parse_regex accepts, counting groups and the
+# interleavings inside them: each level takes at most four Python frames
+# here and one in every fold over the tree, and deeper input would
+# exhaust the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
-def _regex_tokens(text: str) -> list[str]:
-    tokens = []
-    cur = []
-    for ch in text:
-        if ch.isspace() or ch in _RESERVED:
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-            if ch in _RESERVED:
-                tokens.append(ch)
-        else:
-            cur.append(ch)
-    if cur:
-        tokens.append("".join(cur))
-    return tokens
+def parse_regex(tokens: list[tuple[str, object, int]], end: int):
+    """Tree of a token list: juxtaposition, ``|``, postfix ``*`` and ``+``,
+    groups, and ``(a # b)`` interleaving inside a group.
+
+    A token is (kind, value, offset): kind "sym" for a leaf, whose value
+    becomes the leaf node, else the operator character itself.  end is
+    the offset reported for errors at the end of the input.  A run of
+    postfix operators is one repeat, ``+`` when all of them are ``+``.
+    """
+    pos = 0
+    depth = 0
+
+    def peek():
+        return tokens[pos][0] if pos < len(tokens) else None
+
+    def here() -> int:
+        return tokens[pos][2] if pos < len(tokens) else end
+
+    def descend() -> None:
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            raise PatternSyntaxError(f"nested more than {MAX_NESTING} deep", here())
+
+    def expr():
+        nonlocal pos
+        parts = [seq()]
+        while peek() == "|":
+            pos += 1
+            parts.append(seq())
+        return parts[0] if len(parts) == 1 else Alt(tuple(parts))
+
+    def seq():
+        items = []
+        while peek() in ("sym", "("):
+            items.append(item())
+        if not items:
+            raise PatternSyntaxError("expected a symbol or group", here())
+        return items[0] if len(items) == 1 else Seq(tuple(items))
+
+    def item():
+        nonlocal pos
+        node = atom()
+        ops = set()
+        while peek() in ("*", "+"):
+            ops.add(peek())
+            pos += 1
+        if not ops:
+            return node
+        return Plus(node) if ops == {"+"} else Star(node)
+
+    def atom():
+        nonlocal pos, depth
+        if peek() == "sym":
+            pos += 1
+            return tokens[pos - 1][1]
+        if peek() != "(":
+            raise PatternSyntaxError("expected a symbol or group", here())
+        outer = depth
+        descend()
+        pos += 1
+        node = expr()
+        while peek() == "#":
+            descend()
+            pos += 1
+            node = Shuffle(node, expr())
+        if peek() != ")":
+            raise PatternSyntaxError("expected ')'", here())
+        pos += 1
+        depth = outer
+        return node
+
+    node = expr()
+    if pos != len(tokens):
+        raise PatternSyntaxError("trailing input", here())
+    return node
+
+
+def regex_to_nfa(node, leaf) -> Nfa:
+    """Thompson's construction over a parse_regex tree; leaf(node) gives
+    the automaton of each leaf."""
+    if isinstance(node, Seq):
+        return nfa_concat([regex_to_nfa(p, leaf) for p in node.parts])
+    if isinstance(node, Alt):
+        return nfa_union([regex_to_nfa(p, leaf) for p in node.parts])
+    if isinstance(node, Star):
+        return nfa_star(regex_to_nfa(node.body, leaf))
+    if isinstance(node, Plus):
+        return nfa_plus(regex_to_nfa(node.body, leaf))
+    if isinstance(node, Shuffle):
+        return nfa_shuffle(regex_to_nfa(node.left, leaf),
+                           regex_to_nfa(node.right, leaf))
+    return leaf(node)
+
+
+# A word-regex symbol is any run of characters other than whitespace and
+# the operators; "#" is a symbol character here, so word regexes have no
+# interleaving.
+_WORD_TOKEN = re.compile(r"(?P<op>[()|*+])|(?P<sym>[^\s()|*+]+)")
 
 
 def parse_word_regex(text: str, alphabet=None) -> Nfa:
@@ -311,61 +407,9 @@ def parse_word_regex(text: str, alphabet=None) -> Nfa:
 
     Multi-character symbols need whitespace between them ("a b", not "ab").
     """
-    tokens = _regex_tokens(text)
-    pos = 0
-    depth = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def expr() -> Nfa:
-        nonlocal pos
-        parts = [seq()]
-        while peek() == "|":
-            pos += 1
-            parts.append(seq())
-        return parts[0] if len(parts) == 1 else nfa_union(parts)
-
-    def seq() -> Nfa:
-        items = []
-        while peek() is not None and peek() not in (")", "|"):
-            items.append(item())
-        if not items:
-            raise ValueError("empty sequence in regular expression")
-        return items[0] if len(items) == 1 else nfa_concat(items)
-
-    def item() -> Nfa:
-        nonlocal pos
-        base = atom()
-        while peek() in ("*", "+"):
-            base = nfa_star(base) if peek() == "*" else nfa_plus(base)
-            pos += 1
-        return base
-
-    def atom() -> Nfa:
-        nonlocal pos, depth
-        tok = peek()
-        if tok is None:
-            raise ValueError("unexpected end of regular expression")
-        if tok == "(":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ValueError(f"parentheses nested more than {MAX_NESTING} deep")
-            pos += 1
-            inner = expr()
-            if peek() != ")":
-                raise ValueError("unbalanced parenthesis")
-            pos += 1
-            depth -= 1
-            return inner
-        if tok in _RESERVED:
-            raise ValueError(f"unexpected {tok!r}")
-        pos += 1
-        return nfa_symbol(tok)
-
-    out = expr()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens at {tokens[pos]!r}")
+    tokens = [(m["op"] or "sym", m["sym"], m.start())
+              for m in _WORD_TOKEN.finditer(text)]
+    out = regex_to_nfa(parse_regex(tokens, len(text)), nfa_symbol)
     if alphabet is not None:
         missing = out.alphabet - frozenset(alphabet)
         if missing:

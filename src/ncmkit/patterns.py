@@ -2,16 +2,20 @@
 
 An instruction word over {C1, D1, ..., Ck, Dk} records one counter change
 per letter: Ci for an increase of counter i, Di for a decrease.  A pattern
-is a regular expression over that alphabet.  This module parses patterns,
-turns them into automata, classifies their shape into the bounded-usage
-families, builds the balanced acceptor of a pattern (equal Ci/Di counts,
-all increases of a counter before any of its decreases), and constructs
-the canonical generator machines for the families that have one.
+is a regular expression over that alphabet, read by the regular-expression
+front end of nfa.py: this module supplies only the C/D tokenizer and the
+Sym leaves, and the grammar, the tree nodes (re-exported here) and the
+Thompson construction are the ones word regexes use.  On top of them it
+classifies a pattern's shape into the bounded-usage families, builds the
+balanced acceptor of a pattern (equal Ci/Di counts, all increases of a
+counter before any of its decreases), and constructs the canonical
+generator machines for the families that have one.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .machine import (
@@ -26,28 +30,22 @@ from .machine import (
     instruction_alphabet,
 )
 from .nfa import (
-    MAX_NESTING,
+    Alt,
     Nfa,
+    PatternSyntaxError,
+    Plus,
+    Seq,
+    Shuffle,
+    Star,
     determinize,
-    nfa_concat,
-    nfa_plus,
-    nfa_shuffle,
-    nfa_star,
     nfa_symbol,
-    nfa_union,
+    parse_regex,
+    regex_to_nfa,
 )
 
 
-class PatternSyntaxError(ValueError):
-    """Raised when a pattern string does not parse; carries the offset."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 # ---------------------------------------------------------------------------
-# Expression tree
+# Expression tree: the regex nodes of nfa.py over Sym leaves
 
 
 @dataclass(frozen=True)
@@ -58,32 +56,6 @@ class Sym:
     @property
     def text(self) -> str:
         return f"{self.kind}{self.index}"
-
-
-@dataclass(frozen=True)
-class Seq:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Alt:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Star:
-    body: object
-
-
-@dataclass(frozen=True)
-class Plus:
-    body: object
-
-
-@dataclass(frozen=True)
-class Shuffle:
-    left: object
-    right: object
 
 
 @dataclass(frozen=True)
@@ -114,103 +86,25 @@ def make_expr(node) -> InstructionExpr:
 # Parsing
 
 
+_TOKEN = re.compile(r"\s+|(?P<sym>[CD])(?P<index>\d*)|(?P<op>[()|*+#])|(?P<bad>.)",
+                    re.DOTALL)
+
+
 def _tokens(text: str) -> list[tuple[str, object, int]]:
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "CD":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PatternSyntaxError(f"{ch} needs a counter index", i)
-            index = int(text[i + 1 : j])
+    for m in _TOKEN.finditer(text):
+        if m["op"]:
+            out.append((m["op"], None, m.start()))
+        elif m["sym"]:
+            if not m["index"]:
+                raise PatternSyntaxError(f"{m['sym']} needs a counter index", m.start())
+            index = int(m["index"])
             if index < 1:
-                raise PatternSyntaxError("counter indices start at 1", i)
-            out.append(("sym", Sym(ch, index), i))
-            i = j
-            continue
-        if ch in "()|*+#":
-            out.append((ch, None, i))
-            i += 1
-            continue
-        raise PatternSyntaxError(f"unexpected character {ch!r}", i)
+                raise PatternSyntaxError("counter indices start at 1", m.start())
+            out.append(("sym", Sym(m["sym"], index), m.start()))
+        elif m["bad"]:
+            raise PatternSyntaxError(f"unexpected character {m['bad']!r}", m.start())
     return out
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.toks = _tokens(text)
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][0]
-        return None
-
-    def here(self) -> int:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][2]
-        return len(self.text)
-
-    def expr(self):
-        parts = [self.seq()]
-        while self.peek() == "|":
-            self.pos += 1
-            parts.append(self.seq())
-        if len(parts) == 1:
-            return parts[0]
-        return Alt(tuple(parts))
-
-    def seq(self):
-        items = []
-        while self.peek() in ("sym", "("):
-            items.append(self.item())
-        if not items:
-            raise PatternSyntaxError("expected a symbol or group", self.here())
-        if len(items) == 1:
-            return items[0]
-        return Seq(tuple(items))
-
-    def item(self):
-        node = self.atom()
-        tok = self.peek()
-        if tok == "*":
-            self.pos += 1
-            return Star(node)
-        if tok == "+":
-            self.pos += 1
-            return Plus(node)
-        return node
-
-    def atom(self):
-        tok = self.peek()
-        if tok == "sym":
-            node = self.toks[self.pos][1]
-            self.pos += 1
-            return node
-        if tok == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise PatternSyntaxError(
-                    f"groups nested more than {MAX_NESTING} deep", self.here())
-            self.pos += 1
-            node = self.expr()
-            while self.peek() == "#":
-                self.pos += 1
-                node = Shuffle(node, self.expr())
-            if self.peek() != ")":
-                raise PatternSyntaxError("expected ')'", self.here())
-            self.pos += 1
-            self.depth -= 1
-            return node
-        raise PatternSyntaxError("expected a symbol or group", self.here())
 
 
 def parse_pattern(text: str) -> InstructionExpr:
@@ -219,11 +113,7 @@ def parse_pattern(text: str) -> InstructionExpr:
     Symbols are C<n>/D<n> with n >= 1; ``*`` and ``+`` repeat the preceding
     atom, ``|`` alternates, and ``(a # b)`` interleaves two sub-patterns.
     """
-    parser = _Parser(text)
-    node = parser.expr()
-    if parser.pos != len(parser.toks):
-        raise PatternSyntaxError("trailing input", parser.here())
-    return make_expr(node)
+    return make_expr(parse_regex(_tokens(text), len(text)))
 
 
 def render(expr: InstructionExpr | object) -> str:
@@ -273,22 +163,7 @@ def expr_to_nfa(expr: InstructionExpr | object, k: int | None = None) -> Nfa:
     node, arity = expr.root, max(expr.k, k or 1)
     alpha = frozenset(instruction_alphabet(arity))
 
-    def go(n) -> Nfa:
-        if isinstance(n, Sym):
-            return nfa_symbol(n.text, alpha)
-        if isinstance(n, Seq):
-            return nfa_concat([go(p) for p in n.parts])
-        if isinstance(n, Alt):
-            return nfa_union([go(p) for p in n.parts])
-        if isinstance(n, Star):
-            return nfa_star(go(n.body))
-        if isinstance(n, Plus):
-            return nfa_plus(go(n.body))
-        if isinstance(n, Shuffle):
-            return nfa_shuffle(go(n.left), go(n.right))
-        raise TypeError(f"not a pattern node: {n!r}")
-
-    built = go(node)
+    built = regex_to_nfa(node, lambda sym: nfa_symbol(sym.text, alpha))
     return Nfa(alpha, built.states, built.initials, built.finals, built.transitions)
 
 

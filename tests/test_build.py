@@ -3,7 +3,8 @@
 union and concat copy both operands with one disjoint-sum loop; sbd_form
 reads its words with the repeated-word loops of the BDiLBd and LBiBDd
 generators; reversal runs the phase automaton backwards;
-inverse_homomorphism buffers image words in its finite control.  Each
+inverse_homomorphism buffers image words in its finite control;
+distinct_normal_form splits a recurring counter into fresh ones.  Each
 result must be well-formed and accept the expected language up to a
 horizon.
 """
@@ -13,10 +14,12 @@ import itertools
 import pytest
 
 from conftest import FIXTURES, fixture_path, words_over
-from ncmkit.build import concat, inverse_homomorphism, reversal, sbd_form, union
+from ncmkit.build import (concat, distinct_normal_form, inverse_homomorphism,
+                          reversal, sbd_form, self_describing, union)
+from ncmkit.decide import is_letter_bounded
 from ncmkit.machine import load_machine, validate_well_formed
 from ncmkit.oracle import bounded_equiv, caps_for, enumerate_language
-from ncmkit.patterns import generator
+from ncmkit.patterns import eq_acceptor, generator, parse_pattern
 
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.ncm"))
 
@@ -136,3 +139,21 @@ def test_inverse_homomorphism_accepts_the_preimage(name, image):
                 if tuple("".join(image[b] for b in w)) in words}
     assert language(pulled, 4) == expected
 
+
+@pytest.mark.parametrize("text", [
+    "C1* D1* C1* D1*", "C1* C2* D1* D2* C2* D2*", "C1* C1* D1*",
+    "C2* C1* D2* C2* D1* D2*",
+])
+def test_distinct_normal_form_keeps_the_language(text):
+    """Same words as the pattern's balanced acceptor, and a behavior that
+    runs through fixed letters, each used once."""
+    expr = parse_pattern(text)
+    normal = distinct_normal_form(expr)
+    assert_well_formed(normal)
+    ours = enumerate_language(normal, caps_for(8))
+    theirs = enumerate_language(eq_acceptor(expr), caps_for(8))
+    assert not ours.truncated and not theirs.truncated
+    assert ours.as_set() == theirs.as_set()
+    verdict = is_letter_bounded(self_describing(normal, "full"))
+    assert verdict.answer
+    assert len(set(verdict.witness)) == len(verdict.witness)

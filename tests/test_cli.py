@@ -176,6 +176,32 @@ def test_letter_bounded_verdicts(capsys, verb, name, answer, witness):
     assert (verdict["answer"], verdict["witness"]) == (answer, witness)
 
 
+# Blocks of the letters a and aa must get distinct names: run together,
+# (a, aa) and (aa, a) both read "aaa".
+A_AA = """ncm
+counters 1
+alphabet a aa
+states p q
+initial p
+final p
+trans t1 p a * q 0
+trans t2 q aa * p 0
+"""
+
+
+def test_m_bounded_with_multi_character_letters(capsys, tmp_path):
+    path = tmp_path / "a-aa.ncm"
+    path.write_text(A_AA)
+    assert run(["m-bounded", str(path), "2", "--format", "structured"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["answer"] is True
+
+
+@pytest.mark.parametrize("m", ["20000", "1000000"])
+def test_m_bounded_charges_its_blocks_before_building(capsys, m):
+    assert run(["m-bounded", ANBN, m, "--budget", "10"]) == EXIT_BUDGET
+    assert "budget of 10 exhausted" in capsys.readouterr().err
+
+
 # Prints the dump of every construction; the dumps must not depend on
 # the hash seed, because labels give phase-edge ids and with them the
 # branch order of the flow search.

@@ -140,6 +140,22 @@ class TestSolve:
         assert walk_multisets(fs, 4) == set()
         assert isinstance(solve(fs), Infeasible)
 
+    def test_huge_lower_bound_is_refuted(self):
+        # The search box of this system has over 4,300 digits, more than
+        # Python converts to a string by default; no D1 edge balances the
+        # forced C1 passes.
+        fs = FlowSystem(
+            nodes=frozenset({"s", "t"}),
+            edges=(
+                FlowEdge("a", "s", "t"),
+                FlowEdge("b", "t", "t", frozenset({"C1"}), lower=10**1000),
+            ),
+            source="s",
+            sinks=frozenset({"t"}),
+            balance_pairs=(("C1", "D1"),),
+        )
+        assert isinstance(solve(fs), Infeasible)
+
     def test_node_budget(self):
         with pytest.raises(ResourceBudgetError):
             solve(two_node_system(), node_budget=0)

@@ -10,6 +10,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_path, machine_corpus, words_over
 from ncmkit.build import intersect_regular
@@ -19,6 +21,7 @@ from ncmkit.oracle import caps_for, enumerate_language
 from ncmkit.nfa import (
     Dfa,
     Nfa,
+    PatternSyntaxError,
     ResourceBudgetError,
     bounded_pattern_nfa,
     determinize,
@@ -191,15 +194,24 @@ class TestWordRegex:
 
     @pytest.mark.parametrize("bad", ["", "a |", "( a", "a )", "* a", "a b )"])
     def test_syntax_errors(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(PatternSyntaxError):
             parse_word_regex(bad)
 
+    def test_hash_is_a_symbol_character(self):
+        nfa = parse_word_regex("a # (b#)*")
+        assert nfa.alphabet == frozenset({"a", "#", "b#"})
+        assert nfa.accepts(("a", "#", "b#", "b#"))
 
-class TestEnumeration:
-    def test_length_lex_and_agreement(self):
-        nfa = parse_word_regex("(a b | b)*")
-        words = nfa.enumerate_words(6)
-        assert len(set(words)) == len(words)
-        keys = [(len(w), w) for w in words]
-        assert keys == sorted(keys)
-        assert set(words) == accepted(nfa, 6)
+    def test_postfix_run_is_one_repeat(self):
+        nfa = parse_word_regex("(a b)" + "*+" * 2500)
+        assert nfa == parse_word_regex("(a b)*")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="ab#()|*+ ", max_size=30))
+def test_random_word_regex_parses_or_raises_syntax_error(text):
+    try:
+        nfa = parse_word_regex(text)
+    except PatternSyntaxError:
+        return
+    assert nfa.alphabet == set(re.split(r"[\s()|*+]+", text)) - {""}

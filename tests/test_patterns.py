@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import expr_matches, words_over
 from ncmkit.machine import c_sym, d_sym, instruction_alphabet
@@ -60,6 +62,50 @@ class TestParsing:
     def test_syntax_errors(self, bad):
         with pytest.raises(PatternSyntaxError):
             parse_pattern(bad)
+
+    def test_postfix_run_is_one_repeat(self):
+        assert parse_pattern("C1+++").root == Plus(Sym("C", 1))
+        assert parse_pattern("C1+*+").root == Star(Sym("C", 1))
+        assert parse_pattern("C1" + "*" * 5000).root == Star(Sym("C", 1))
+
+    def test_interleavings_count_as_nesting(self):
+        with pytest.raises(PatternSyntaxError, match="nested more than"):
+            parse_pattern("(" + "C1 # " * 2000 + "C1)")
+
+
+def pattern_trees():
+    """Random trees in the shape the parser builds: no Alt directly under
+    an Alt and no one-part Seq or Alt, since render flattens those."""
+    leaves = st.builds(Sym, st.sampled_from("CD"), st.integers(1, 3))
+
+    def extend(children):
+        parts = st.lists(children, min_size=2, max_size=3).map(tuple)
+        non_alt = children.filter(lambda n: not isinstance(n, Alt))
+        return st.one_of(
+            st.builds(Star, children),
+            st.builds(Plus, children),
+            st.builds(Shuffle, children, children),
+            parts.map(Seq),
+            st.lists(non_alt, min_size=2, max_size=3).map(tuple).map(Alt),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_trees())
+def test_render_parse_round_trip_on_random_trees(tree):
+    assert parse_pattern(render(tree)).root == tree
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="CD0123()|*+# ", max_size=30))
+def test_random_text_parses_or_raises_syntax_error(text):
+    try:
+        expr = parse_pattern(text)
+    except PatternSyntaxError:
+        return
+    assert parse_pattern(render(expr)) == expr
 
 
 class TestExprToNfa:
