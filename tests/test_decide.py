@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from conftest import FIXTURES, fixture_path, machine_corpus
+from conftest import FIXTURES, expr_matches, fixture_path, machine_corpus
 from ncmkit.build import inverse_homomorphism, self_describing
 from ncmkit.build import intersect_regular
 from ncmkit.decide import (
@@ -22,8 +22,11 @@ from ncmkit.decide import (
     PumpEvidence,
     _block_machine,
     _block_sequences,
+    _bounded_patterns,
     _last_letter_product,
     _word_nfa,
+    bd_with_bound,
+    contained_in_regular,
     infer_family,
     is_letter_bounded,
     is_m_bounded,
@@ -31,7 +34,9 @@ from ncmkit.decide import (
 )
 from ncmkit.flows import solve, solve_unbounded
 from ncmkit.machine import load_machine, parse_machine, replay
+from ncmkit.nfa import parse_word_regex
 from ncmkit.oracle import caps_for, enumerate_language
+from ncmkit.patterns import generator, parse_pattern
 from ncmkit.phase import CHANGE_CLASS, phase_automaton, to_flow_system, witness_run
 
 # Fixtures whose letter-boundedness decides in about a second; ex2 and
@@ -284,3 +289,114 @@ def test_membership_matches_enumeration(machine):
             if verdict.answer:
                 assert verdict.witness == "".join(word)
                 assert accepting_run(machine, word).word == word
+
+
+# ---------------------------------------------------------------------------
+# Containment in a regular set, pattern-boundedness and the LBiLBd and
+# StLB families, against enumeration.  A "no" witness must be a word or
+# behavior of the machine outside the set it escapes; on a "yes", every
+# enumerated word or behavior must lie inside it.
+
+
+def word_regexes(alphabet) -> list[str]:
+    """The letters as blocks in sorted order, every word, the words that
+    begin with the first letter, and the words that end with the last
+    letter or are a block of the first."""
+    letters = sorted(alphabet)
+    anything = "(" + " | ".join(letters) + ")*"
+    return [" ".join(a + "*" for a in letters), anything,
+            f"{letters[0]} {anything}", f"{anything} {letters[-1]} | {letters[0]}*"]
+
+
+@pytest.mark.parametrize("machine", [load(n) for n in MEMBER_FIXTURES] + CORPUS[:8],
+                         ids=MEMBER_FIXTURES + [f"corpus{i}" for i in range(8)])
+def test_contained_in_regular(machine):
+    words = sample(machine).words
+    for text in word_regexes(machine.alphabet):
+        nfa = parse_word_regex(text, machine.alphabet)
+        verdict = contained_in_regular(machine, nfa)
+        if verdict.answer:
+            for w in words:
+                assert nfa.accepts(w), (text, w)
+        else:
+            word = tuple(verdict.witness)
+            assert membership(machine, word).answer, (text, word)
+            assert not nfa.accepts(word), (text, word)
+
+
+# Built generators have richer behaviors than the random corpus, whose
+# accepting runs touch no counter.
+BEHAVIOR_MACHINES = {**{n: load(n) for n in MEMBER_FIXTURES},
+                     "LB2": generator("LB", 2), "LBiLBd2": generator("LBiLBd", 2),
+                     "LBi2": generator("LBi", 2)}
+
+
+def pattern_regex(words):
+    """w1* ... wm* over instruction letters as a regex on their spelling;
+    every letter has two characters, so matches stay letter-aligned."""
+    return re.compile("".join(f"(?:{''.join(w)})*" for w in words))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(BEHAVIOR_MACHINES))
+def test_bd_with_bound(name, n):
+    machine = BEHAVIOR_MACHINES[name]
+    verdict = bd_with_bound(machine, n)
+    behaviors = sample(self_describing(machine, "full")).words
+    candidates = [pattern_regex(words)
+                  for words in _bounded_patterns(machine.k, n, Budget())]
+    if not verdict.answer:
+        behavior = instructions(verdict.witness)
+        assert membership(self_describing(machine, "full"), behavior).answer
+        assert not any(p.fullmatch(verdict.witness) for p in candidates)
+    elif verdict.witness is None:
+        for b in behaviors:
+            assert any(p.fullmatch("".join(b)) for p in candidates), b
+    elif verdict.witness == "<eps>":
+        assert behaviors <= {()}
+    else:
+        expr = parse_pattern(verdict.witness)
+        for b in behaviors:
+            assert expr_matches(expr, b), (verdict.witness, b)
+
+
+def increases_after_decrease(behavior) -> bool:
+    return any(a[0] == "D" and b[0] == "C"
+               for a, b in itertools.combinations(behavior, 2))
+
+
+def stratified(letters) -> bool:
+    """No subsequence C_r C_s D_r D_s with r != s."""
+    return not any(p[0] == "C" and q[0] == "C" and p[1:] != q[1:]
+                   and u == "D" + p[1:] and v == "D" + q[1:]
+                   for p, q, u, v in itertools.combinations(letters, 4))
+
+
+# The pump searches of ex4a-m1 and LBi2 run for minutes.
+INFER_SPLIT = [n for n in sorted(BEHAVIOR_MACHINES) if n not in ("ex4a-m1", "LBi2")]
+
+
+@pytest.mark.parametrize("tag", ["LBiLBd", "StLB"])
+@pytest.mark.parametrize("name", INFER_SPLIT)
+def test_infer_family_split_and_stratified(name, tag):
+    machine = BEHAVIOR_MACHINES[name]
+    sd = self_describing(machine, "full")
+    verdict = infer_family(machine, tag)
+    if isinstance(verdict.witness, PumpEvidence):
+        assert not verdict.answer
+        check_pump(sd, verdict.witness, instructions)
+        return
+    if isinstance(verdict.witness, str):
+        # LBiLBd's behavior with an increase after its first decrease
+        behavior = instructions(verdict.witness)
+        assert tag == "LBiLBd" and not verdict.answer
+        assert membership(sd, behavior).answer
+        assert increases_after_decrease(behavior)
+        return
+    behaviors = sample(sd).words
+    check_sequence(verdict.witness, behaviors)
+    if tag == "LBiLBd":
+        assert verdict.answer
+        assert not any(increases_after_decrease(b) for b in behaviors)
+    else:
+        assert verdict.answer is stratified(verdict.witness)
