@@ -29,7 +29,7 @@ from .machine import (
     increase_alphabet,
     instruction_alphabet,
 )
-from .nfa import Dfa, Nfa, eliminate_lambda
+from .nfa import Budget, Dfa, Nfa, eliminate_lambda
 from .patterns import (
     InstructionExpr,
     MachineBuilder,
@@ -666,9 +666,10 @@ def _two_positive_component(linear: LinearSet, letters) -> CounterMachine:
 # Short-word normal form of the bounded-increasing generator
 
 
-def sbd_form(k: int) -> CounterMachine:
+def sbd_form(k: int, budget: Budget | None = None) -> CounterMachine:
     """Machine matching generator("BDiLBd", k) whose own behavior splits
-    into starred words of length at most two.
+    into starred words of length at most two.  With a budget, each
+    transition added charges one unit.
 
     Instead of one counter per input letter, each guessed word charges a
     single counter once per full traversal; the decrease blocks then
@@ -678,7 +679,7 @@ def sbd_form(k: int) -> CounterMachine:
     """
     if k < 1:
         raise ValueError("arity must be at least 1")
-    builder = MachineBuilder(k)
+    builder = MachineBuilder(k, budget)
 
     def dname(seq: tuple, i: int, half: str) -> str:
         return "d" + "|".join("".join(map(str, w)) for w in seq) \

@@ -134,7 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("text", "structured"),
                         default="text", help="report style")
     shared.add_argument("--budget", type=_int_at_least(1), default=None, metavar="N",
-                        help="cap on solver nodes plus automaton states")
+                        help="cap on solver nodes, automaton states and built "
+                        "transitions together")
     horizon = argparse.ArgumentParser(add_help=False)
     horizon.add_argument("--max-len", type=_int_at_least(0), default=8, metavar="L",
                          help="word-length horizon of the enumeration")
@@ -338,7 +339,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if verb == "generator":
-        _emit_machine(generator(args.tag, args.k), fmt, args.out)
+        _emit_machine(generator(args.tag, args.k, budget), fmt, args.out)
         return EXIT_OK
 
     if verb == "closure":
@@ -373,7 +374,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if verb == "sbd-form":
-        _emit_machine(sbd_form(args.k), fmt, args.out)
+        _emit_machine(sbd_form(args.k, budget), fmt, args.out)
         return EXIT_OK
 
     if verb == "compare":

@@ -7,21 +7,21 @@ through a product with an automaton remembering the last letter read,
 and behavior questions (pattern satisfaction, restriction, family
 inference, pattern-boundedness) through self-describing machines
 intersected with regular sets.  Every one of these products is
-build.intersect_regular.  Each procedure returns a Verdict whose
-witness re-validates independently and whose certificate says what the
-answer rests on.
+build.intersect_regular, queried through one helper, _accepted_run,
+which replays the run it finds on the queried machine.  Each procedure
+returns a Verdict whose witness re-validates independently and whose
+certificate says what the answer rests on.
 
 All procedures are pure: identical inputs yield identical verdicts and
-witnesses.  Long-running searches share one Budget, which jointly caps
-solver search nodes, DFA states and the steps of decide's own searches,
-and can be cancelled cooperatively.
+witnesses.  A query threads one Budget (nfa.Budget) through every layer
+it calls, each charging its work where it spends it, and can be
+cancelled cooperatively.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .build import intersect_regular, inverse_homomorphism, self_describing
 from .flows import Infeasible, pump_walk, solve, solve_unbounded
@@ -35,9 +35,9 @@ from .machine import (
     replay,
 )
 from .nfa import (
+    Budget,
     Dfa,
     Nfa,
-    ResourceBudgetError,
     bounded_pattern_nfa,
     determinize,
     nfa_union,
@@ -83,41 +83,6 @@ __all__ = [
     "infer_family",
     "FAMILY_TAGS_DECIDABLE",
 ]
-
-DEFAULT_BUDGET = 2_000_000
-
-FAMILY_TAGS_DECIDABLE = ("LBd", "LBi", "LB", "LBiLBd", "StLB")
-
-
-@dataclass
-class Budget:
-    """Joint cap on the work one query may do.
-
-    Every solver call charges the search nodes it expanded and every
-    determinization charges the DFA states it produced, so one Budget
-    threaded through a query caps both kinds of work together.  cancel
-    is an optional callable polled between expensive steps; when it
-    returns True the query stops with a ResourceBudgetError.
-    """
-
-    limit: int = DEFAULT_BUDGET
-    used: int = 0
-    cancel: Callable[[], bool] | None = None
-
-    def check(self) -> None:
-        if self.cancel is not None and self.cancel():
-            raise ResourceBudgetError("query cancelled")
-
-    def charge(self, amount: int, what: str = "") -> None:
-        self.check()
-        self.used += amount
-        if self.used > self.limit:
-            suffix = f" during {what}" if what else ""
-            raise ResourceBudgetError(f"budget of {self.limit} exhausted{suffix}")
-
-    def node_cap(self) -> int:
-        return max(1, self.limit - self.used)
-
 
 @dataclass(frozen=True)
 class PumpEvidence:
@@ -194,16 +159,50 @@ def _budget(budget: Budget | None) -> Budget:
     return budget if budget is not None else Budget()
 
 
-def _walk_search(machine: CounterMachine, budget: Budget):
-    """Phase automaton plus the balanced-walk solver result for it."""
+def _search(machine: CounterMachine, budget: Budget,
+            growth_class: str | None = None, change: frozenset = frozenset()):
+    """The machine's phase automaton plus the solver's answer on it.
+
+    Without a growth class: an accepting run, or the Infeasible saying
+    why there is none.  With one: the runs of a pump's base walk and of
+    one round of its circulation, or None.  stats is passed so that a
+    tracer wrapping the solver can read its node count."""
     budget.check()
     pa = phase_automaton(machine)
-    fs = to_flow_system(pa)
-    stats: dict = {}
-    result = solve(fs, node_budget=budget.node_cap(), stats=stats,
-                   poll=budget.check)
-    budget.charge(stats.get("nodes", 0), "balanced-walk search")
-    return pa, result
+    fs = to_flow_system(pa, change)
+    if growth_class is None:
+        walk = solve(fs, budget, stats={})
+        return pa, walk if isinstance(walk, Infeasible) else witness_run(pa, walk)
+    pump = solve_unbounded(fs, growth_class, budget, stats={})
+    if pump is None:
+        return pa, None
+    return pa, (witness_run(pa, pump.base), witness_run(pa, pump_walk(fs, pump, 1)))
+
+
+def _accepted_run(machine: CounterMachine, automaton, budget: Budget) -> Run | None:
+    """An accepting run of the machine whose word the automaton accepts,
+    or None.  A run of the intersect_regular product maps back by the
+    text before each label's last '&' (the entry hop has none) and is
+    replayed on the machine itself."""
+    _, run = _search(intersect_regular(machine, automaton), budget)
+    if isinstance(run, Infeasible):
+        return None
+    sources = (label.rsplit("&", 1)[0] for label in run.labels)
+    return replay(machine, [source for source in sources if source])
+
+
+def _escaping_run(machine: CounterMachine, automaton, budget: Budget) -> Run | None:
+    """An accepting run of the machine whose word the automaton rejects,
+    or None: _accepted_run on the automaton widened to the machine's
+    alphabet, determinized and complemented."""
+    nfa = automaton.to_nfa() if isinstance(automaton, Dfa) else automaton
+    alpha = frozenset(machine.alphabet) | nfa.alphabet
+    nfa = Nfa(alpha, nfa.states, nfa.initials, nfa.finals, nfa.transitions)
+    return _accepted_run(machine, determinize(nfa, budget).complement(), budget)
+
+
+def _word(run: Run) -> str:
+    return "".join(run.word)
 
 
 # ---------------------------------------------------------------------------
@@ -213,41 +212,24 @@ def _walk_search(machine: CounterMachine, budget: Budget):
 def is_empty(machine: CounterMachine, budget: Budget | None = None) -> Verdict:
     """Is the accepted language empty?  No on a witness word."""
     budget = _budget(budget)
-    pa, result = _walk_search(machine, budget)
-    if isinstance(result, Infeasible):
-        return Verdict(True, None, "no balanced walk: " + result.reason, budget.used)
-    run = witness_run(pa, result)
-    return Verdict(False, "".join(run.word),
+    _, run = _search(machine, budget)
+    if isinstance(run, Infeasible):
+        return Verdict(True, None, "no balanced walk: " + run.reason, budget.used)
+    return Verdict(False, _word(run),
                    "accepting run reconstructed from a balanced walk",
                    budget.used)
-
-
-def _pump_search(machine: CounterMachine, growth_class: str, budget: Budget,
-                 change: frozenset = frozenset()):
-    """Phase automaton plus, when the class can grow without bound, the
-    runs of a pump's base walk and of one round of its circulation."""
-    budget.check()
-    pa = phase_automaton(machine)
-    fs = to_flow_system(pa, change)
-    stats: dict = {}
-    pump = solve_unbounded(fs, growth_class, node_budget=budget.node_cap(),
-                           stats=stats, poll=budget.check)
-    budget.charge(stats.get("nodes", 0), "pump search")
-    if pump is None:
-        return pa, None
-    return pa, (witness_run(pa, pump.base), witness_run(pa, pump_walk(fs, pump, 1)))
 
 
 def is_infinite(machine: CounterMachine, budget: Budget | None = None) -> Verdict:
     """Is the accepted language infinite?  Yes on a pumpable witness."""
     budget = _budget(budget)
-    _, pump = _pump_search(machine, INPUT_CLASS, budget)
+    _, pump = _search(machine, budget, INPUT_CLASS)
     if pump is None:
         return Verdict(False, None, "no repeatable input-growing circulation",
                        budget.used)
     base, pumped = pump
     growth = len(pumped.word) - len(base.word)
-    return Verdict(True, PumpEvidence("".join(base.word), "".join(pumped.word)),
+    return Verdict(True, PumpEvidence(_word(base), _word(pumped)),
                    f"each pump round adds {growth} input letters", budget.used)
 
 
@@ -273,9 +255,7 @@ def membership(machine: CounterMachine, word, budget: Budget | None = None) -> V
             return Verdict(False, None,
                            f"symbol {a!r} is not in the machine's alphabet",
                            budget.used)
-    product = intersect_regular(machine, _word_nfa(word, machine.alphabet))
-    inner = is_empty(product, budget)
-    if inner.answer:
+    if _accepted_run(machine, _word_nfa(word, machine.alphabet), budget) is None:
         return Verdict(False, None, "no accepting run reads the word", budget.used)
     return Verdict(True, "".join(word), "accepting run found", budget.used)
 
@@ -288,17 +268,11 @@ def contained_in_regular(machine: CounterMachine, automaton,
     witness is an accepted word the automaton rejects.
     """
     budget = _budget(budget)
-    nfa = automaton.to_nfa() if isinstance(automaton, Dfa) else automaton
-    alpha = frozenset(machine.alphabet) | nfa.alphabet
-    nfa = Nfa(alpha, nfa.states, nfa.initials, nfa.finals, nfa.transitions)
-    dfa = determinize(nfa, max_states=budget.node_cap())
-    budget.charge(dfa.n_states, "determinization")
-    product = intersect_regular(machine, dfa.complement())
-    inner = is_empty(product, budget)
-    if inner.answer:
+    run = _escaping_run(machine, automaton, budget)
+    if run is None:
         return Verdict(True, None, "no accepted word escapes the automaton",
                        budget.used)
-    return Verdict(False, inner.witness, "accepted word the automaton rejects",
+    return Verdict(False, _word(run), "accepted word the automaton rejects",
                    budget.used)
 
 
@@ -316,16 +290,6 @@ def _as_expr(expr, machine: CounterMachine) -> InstructionExpr:
     return expr
 
 
-def _product_labels(run: Run) -> list[str]:
-    """Source-machine labels of a run of an intersect_regular product."""
-    out = []
-    for label in run.labels:
-        source = label.rsplit("&", 1)[0]
-        if source:
-            out.append(source)
-    return out
-
-
 def satisfies(machine: CounterMachine, expr, budget: Budget | None = None) -> Verdict:
     """Does every accepting behavior of the machine match the pattern?
 
@@ -334,17 +298,13 @@ def satisfies(machine: CounterMachine, expr, budget: Budget | None = None) -> Ve
     """
     budget = _budget(budget)
     expr = _as_expr(expr, machine)
-    sd = self_describing(machine, "full")
-    dfa = determinize(expr_to_nfa(expr, machine.k), max_states=budget.node_cap())
-    budget.charge(dfa.n_states, "pattern determinization")
-    product = intersect_regular(sd, dfa.complement())
-    pa, result = _walk_search(product, budget)
-    if isinstance(result, Infeasible):
+    behavior = _escaping_run(self_describing(machine, "full"),
+                             expr_to_nfa(expr, machine.k), budget)
+    if behavior is None:
         return Verdict(True, None, "every accepting behavior matches the pattern",
                        budget.used)
-    product_run = witness_run(pa, result)
-    run = replay(machine, _product_labels(product_run))
-    return Verdict(False, BehaviorCounterexample("".join(product_run.word), run),
+    return Verdict(False, BehaviorCounterexample(_word(behavior),
+                                                 replay(machine, behavior.labels)),
                    "a run realizes a behavior outside the pattern", budget.used)
 
 
@@ -365,9 +325,8 @@ def restrict_to_instructions(machine: CounterMachine, expr,
         nfa = expr
     else:
         nfa = expr_to_nfa(_as_expr(expr, machine), machine.k)
-    dfa = determinize(nfa, max_states=budget.node_cap())
-    budget.charge(dfa.n_states, "pattern determinization")
-    product = intersect_regular(self_describing(machine, "full"), dfa)
+    product = intersect_regular(self_describing(machine, "full"),
+                                determinize(nfa, budget))
     reads = {t.label: t.inp for t in machine.transitions}
     transitions = tuple(replace(t, inp=reads.get(t.label.rsplit("&", 1)[0]))
                         for t in product.transitions)
@@ -422,30 +381,28 @@ def _block_machine(pa: PhaseAutomaton, opens: frozenset) -> CounterMachine:
 def _block_sequences(blocks: CounterMachine, budget: Budget) -> list[tuple]:
     """Every word of the block machine, which must accept finitely many.
 
-    A prefix trie: a prefix p is a word when membership says so, and p·a
-    is explored when some word starts with it (the product with p·a·Σ* is
-    not empty).  Letters never repeat, since a block sequence has no two
-    equal neighbours.  Each of these queries costs one budget unit on top
-    of its search nodes."""
+    A prefix trie: a prefix p is a word when the machine accepts it, and
+    p·a is explored when some word starts with it (the product with
+    p·a·Σ* has an accepting run).  Letters never repeat, since a block
+    sequence has no two equal neighbours.  Each of these queries costs
+    one budget unit on top of its search nodes."""
     letters = sorted(blocks.alphabet)
     found = []
     todo = [()]
     while todo:
         prefix = todo.pop()
         budget.charge(1, "block-sequence trie")
-        if membership(blocks, prefix, budget).answer:
+        if _accepted_run(blocks, _word_nfa(prefix, letters), budget) is not None:
             found.append(prefix)
         for a in letters:
             if prefix and prefix[-1] == a:
                 continue
             budget.charge(1, "block-sequence trie")
             longer = prefix + (a,)
-            starts = intersect_regular(blocks, _word_nfa(longer, letters, open_end=True))
-            if not is_empty(starts, budget).answer:
+            starts = _word_nfa(longer, letters, open_end=True)
+            if _accepted_run(blocks, starts, budget) is not None:
                 todo.append(longer)
     return sorted(found)
-
-
 def _is_subsequence(short, long) -> bool:
     rest = iter(long)
     return all(a in rest for a in short)
@@ -492,10 +449,14 @@ def _sample_words(machine: CounterMachine, length: int = 6, cap: int = 40):
     return sorted(sample.as_set(), key=lambda w: (len(w), w))[:cap]
 
 
-def _stars(words) -> str:
-    if not words:
-        return "the empty-word language"
-    return " ".join("".join(w) + "*" for w in words)
+def _bounded_by(machine: CounterMachine, names, words, budget: Budget) -> Verdict:
+    """Yes: the language lies in w1* ... wn*, printed as names, once a
+    containment check on the machine itself confirms it."""
+    if _escaping_run(machine, bounded_pattern_nfa(list(words)), budget) is not None:
+        raise AssertionError("bounded cover failed its containment recheck")
+    stars = " ".join(f"{name}*" for name in names) or "the empty-word language"
+    return Verdict(True, tuple(names), f"language contained in {stars}",
+                   budget.used)
 
 
 def is_letter_bounded(machine: CounterMachine,
@@ -507,24 +468,20 @@ def is_letter_bounded(machine: CounterMachine,
     two accepted words of the machine, the pumped one with more blocks.
     Otherwise the block sequences are finitely many; they are enumerated
     exactly, and yes returns their lexicographically least shortest common
-    supersequence, rechecked by contained_in_regular.
+    supersequence, rechecked by containment.
     """
     budget = _budget(budget)
     product, opens = _last_letter_product(machine)
-    pa, pump = _pump_search(product, CHANGE_CLASS, budget, opens)
+    pa, pump = _search(product, budget, CHANGE_CLASS, opens)
     if pump is not None:
         base, pumped = pump
-        return Verdict(False, PumpEvidence("".join(base.word), "".join(pumped.word)),
+        return Verdict(False, PumpEvidence(_word(base), _word(pumped)),
                        "letter alternations grow without bound", budget.used)
     sequences = _block_sequences(_block_machine(pa, opens), budget)
     if not sequences:
         return Verdict(True, (), "no word is accepted", budget.used)
     seq = _shortest_supersequence(sequences, budget)
-    words = tuple((a,) for a in seq)
-    check = contained_in_regular(machine, bounded_pattern_nfa(list(words)), budget)
-    if not check.answer:
-        raise AssertionError("letter sequence failed its containment recheck")
-    return Verdict(True, seq, f"language contained in {_stars(words)}", budget.used)
+    return _bounded_by(machine, seq, [(a,) for a in seq], budget)
 
 
 def _length_mod_nfa(alphabet, m: int) -> Nfa:
@@ -545,7 +502,7 @@ def is_m_bounded(machine: CounterMachine, m: int,
     that reads m-letter blocks as single letters: a no is its pump pair,
     two accepted words whose m-letter blocks alternate more often in the
     pumped one; a yes is its least shortest block sequence, re-verified
-    by contained_in_regular on the machine itself.
+    by containment on the machine itself.
     """
     budget = _budget(budget)
     if m < 1:
@@ -553,14 +510,14 @@ def is_m_bounded(machine: CounterMachine, m: int,
     letters = sorted(machine.alphabet)
     budget.charge(m, "length automaton")
     budget.charge(len(letters) ** m, "block alphabet")
-    stray = intersect_regular(machine, _length_mod_nfa(machine.alphabet, m))
-    bad = is_empty(stray, budget)
-    if not bad.answer:
-        return Verdict(False, bad.witness,
+    stray = _accepted_run(machine, _length_mod_nfa(machine.alphabet, m), budget)
+    if stray is not None:
+        return Verdict(False, _word(stray),
                        f"accepted word of length not divisible by {m}",
                        budget.used)
     # A block is named by its letters run together, which tells blocks
-    # apart only when every letter is one character long.
+    # apart only when every letter is one character long; otherwise by
+    # its letters in brackets, space-separated.
     short = all(len(a) == 1 for a in letters)
     image = {"".join(block) if short else f"[{' '.join(block)}]": block
              for block in itertools.product(letters, repeat=m)}
@@ -570,12 +527,8 @@ def is_m_bounded(machine: CounterMachine, m: int,
         return Verdict(False, inner.witness,
                        f"{m}-letter block alternations grow without bound",
                        budget.used)
-    words = tuple(image[sym] for sym in inner.witness)
-    check = contained_in_regular(machine, bounded_pattern_nfa(list(words)), budget)
-    if not check.answer:
-        raise AssertionError("block sequence failed its containment recheck")
-    return Verdict(True, tuple("".join(w) for w in words),
-                   f"language contained in {_stars(words)}", budget.used)
+    return _bounded_by(machine, inner.witness,
+                       [image[name] for name in inner.witness], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -667,18 +620,17 @@ def bd_with_bound(machine: CounterMachine, n: int,
         nfa = bounded_pattern_nfa(list(words))
         if not all(nfa.accepts(w) for w in sample):
             continue
-        check = contained_in_regular(sd, nfa, budget)
-        if check.answer:
+        if _escaping_run(sd, nfa, budget) is None:
             return Verdict(True, _render_pattern(words),
                            "behavior containment verified", budget.used)
     union = nfa_union([bounded_pattern_nfa(list(words)) for words in patterns])
-    outer = contained_in_regular(sd, union, budget)
-    if outer.answer:
+    escape = _escaping_run(sd, union, budget)
+    if escape is None:
         return Verdict(True, None,
                        f"behaviors lie in the union of patterns of total "
                        f"length <= {n}, but no single one contains them all",
                        budget.used)
-    return Verdict(False, outer.witness,
+    return Verdict(False, _word(escape),
                    f"behavior escapes every pattern of total length <= {n}",
                    budget.used)
 
@@ -687,10 +639,14 @@ def bd_with_bound(machine: CounterMachine, n: int,
 # Family inference.
 
 
+# tag -> (self-describing projection, what it reads); every tag asks
+# first whether that projection is letter-bounded.
 _FAMILY_PROJECTION = {
     "LBd": ("decreases-only", "decrease behaviors"),
     "LBi": ("increases-only", "increase behaviors"),
     "LB": ("full", "instruction behaviors"),
+    "LBiLBd": ("full", "instruction behaviors"),
+    "StLB": ("full", "instruction behaviors"),
 }
 
 
@@ -705,6 +661,9 @@ def _increases_then_decreases_nfa(k: int) -> Nfa:
                frozenset(transitions))
 
 
+FAMILY_TAGS_DECIDABLE = tuple(_FAMILY_PROJECTION)
+
+
 def infer_family(machine: CounterMachine, tag: str,
                  budget: Budget | None = None) -> Verdict:
     """Does the machine belong to the named letter-bounded family?
@@ -715,41 +674,27 @@ def infer_family(machine: CounterMachine, tag: str,
     discovered letter sequence to be stratified.
     """
     budget = _budget(budget)
-    if tag in _FAMILY_PROJECTION:
-        mode, what = _FAMILY_PROJECTION[tag]
-        inner = is_letter_bounded(self_describing(machine, mode), budget)
-        state = "are" if inner.answer else "are not"
-        return Verdict(inner.answer, inner.witness,
-                       f"{what} {state} letter-bounded", budget.used)
+    if tag not in _FAMILY_PROJECTION:
+        raise ValueError(f"unknown family tag {tag!r}")
+    mode, what = _FAMILY_PROJECTION[tag]
+    sd = self_describing(machine, mode)
+    inner = is_letter_bounded(sd, budget)
+    if not inner.answer:
+        return Verdict(False, inner.witness, f"{what} are not letter-bounded",
+                       budget.used)
     if tag == "LBiLBd":
-        sd = self_describing(machine, "full")
-        inner = is_letter_bounded(sd, budget)
-        if not inner.answer:
-            return Verdict(False, inner.witness,
-                           "instruction behaviors are not letter-bounded",
-                           budget.used)
-        split = contained_in_regular(
-            sd, _increases_then_decreases_nfa(machine.k), budget)
-        if not split.answer:
-            return Verdict(False, split.witness,
+        split = _escaping_run(sd, _increases_then_decreases_nfa(machine.k), budget)
+        if split is not None:
+            return Verdict(False, _word(split),
                            "a behavior increases after its first decrease",
                            budget.used)
         return Verdict(True, inner.witness,
                        "letter-bounded with all increases before decreases",
                        budget.used)
     if tag == "StLB":
-        sd = self_describing(machine, "full")
-        inner = is_letter_bounded(sd, budget)
-        if not inner.answer:
-            return Verdict(False, inner.witness,
-                           "instruction behaviors are not letter-bounded",
-                           budget.used)
-        syms = [Sym(a[0], int(a[1:])) for a in inner.witness]
-        if _stratified(syms):
-            return Verdict(True, inner.witness,
-                           "discovered letter sequence is stratified",
-                           budget.used)
-        return Verdict(False, inner.witness,
-                       "discovered letter sequence is not stratified",
+        stratified = _stratified([Sym(a[0], int(a[1:])) for a in inner.witness])
+        state = "is" if stratified else "is not"
+        return Verdict(stratified, inner.witness,
+                       f"discovered letter sequence {state} stratified",
                        budget.used)
-    raise ValueError(f"unknown family tag {tag!r}")
+    return Verdict(True, inner.witness, f"{what} are letter-bounded", budget.used)

@@ -28,8 +28,10 @@ row <- p*row - f*pivot_row, touching only the rows that hold the pivot
 column, and divided by the gcd of its entries.  No rational number is
 ever formed; the results are those of exact rational arithmetic.
 
-Everything is deterministic; exceeding the node budget raises a resource
-error rather than ever returning a wrong answer.
+Everything is deterministic.  Each expanded search node is charged, as it
+is expanded, to the query's Budget (nfa.Budget); when the budget runs out
+or the query is cancelled, a resource error is raised rather than ever
+returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 
-from .nfa import ResourceBudgetError
+from .nfa import Budget
 
+# The node cap of a search run without a Budget.
 DEFAULT_NODE_BUDGET = 200_000
 
 
@@ -518,10 +521,10 @@ def _assemble(fs: FlowSystem, kept: list[FlowEdge], kept_sinks: list,
 
 
 class _Search:
-    def __init__(self, problem: _Problem, node_budget: int, poll=None):
+    def __init__(self, problem: _Problem, budget: Budget, what: str):
         self.p = problem
-        self.budget = node_budget
-        self.poll = poll
+        self.budget = budget
+        self.what = what
         self.used = 0
         self.row_visits = 0
         consistent, pivots, triangular = _eliminate(problem.rows, len(problem.var_names))
@@ -607,11 +610,7 @@ class _Search:
         while heap:
             _, _, frame, iv = heapq.heappop(heap)
             self.used += 1
-            if self.used > self.budget:
-                raise ResourceBudgetError(
-                    f"flow search exceeded its node budget of {self.budget}")
-            if self.poll is not None:
-                self.poll()
+            self.budget.charge(1, self.what)
             intervals = _unfold(frame)
             var, dirty = frame[1], frame[2]
             if var is not None:
@@ -853,37 +852,37 @@ def _problem_lp_feasible(problem: _Problem, rows: list[_Row]) -> tuple[bool, int
 # Entry points
 
 
-def solve(fs: FlowSystem, node_budget: int = DEFAULT_NODE_BUDGET,
-          stats: dict | None = None, poll=None):
+def solve(fs: FlowSystem, budget: Budget | None = None,
+          stats: dict | None = None):
     """Find a balanced source-to-sink walk, or prove none exists.
 
     Returns a FlowWitness (with the realizing walk) or an Infeasible
-    carrying the reason.  Raises ResourceBudgetError when the budget runs
-    out before either conclusion.  When stats is a dict, the simplex
-    pivots of the rational relaxation are written to stats['lp_pivots'],
-    and once a search ran, the number of search nodes expanded to
-    stats['nodes'] and the row visits of their interval propagation to
-    stats['row_visits']; poll, when given, is called once per expanded
-    node and may raise to cancel."""
-    return _solve(fs, None, node_budget, stats, poll)
+    carrying the reason.  Each expanded search node charges one unit of
+    the budget ("balanced-walk search"), so ResourceBudgetError is raised
+    when it runs out, or is cancelled, before either conclusion; without
+    a budget the search stops after DEFAULT_NODE_BUDGET nodes.  When
+    stats is a dict, the simplex pivots of the rational relaxation are
+    written to stats['lp_pivots'], and once a search ran, the number of
+    search nodes expanded to stats['nodes'] and the row visits of their
+    interval propagation to stats['row_visits']."""
+    return _solve(fs, None, budget, stats)
 
 
 def solve_unbounded(fs: FlowSystem, growth_class: str,
-                    node_budget: int = DEFAULT_NODE_BUDGET,
-                    stats: dict | None = None, poll=None):
+                    budget: Budget | None = None, stats: dict | None = None):
     """Find a walk plus a repeatable balanced circulation that grows the
     given class, or None when no such pair exists.
 
     The circulation conserves flow at every node, keeps every balance
     pair level, and uses the growth class at least once, so adding it to
     the base walk any number of times yields ever-larger valid walks.
-    The budget, stats and poll are as for solve."""
-    result = _solve(fs, growth_class, node_budget, stats, poll)
+    The budget (charged as "pump search") and stats are as for solve."""
+    result = _solve(fs, growth_class, budget, stats)
     return None if isinstance(result, Infeasible) else result
 
 
-def _solve(fs: FlowSystem, growth_class: str | None, node_budget: int,
-           stats: dict | None, poll):
+def _solve(fs: FlowSystem, growth_class: str | None, budget: Budget | None,
+           stats: dict | None):
     """The one path of solve (growth_class None) and solve_unbounded.
 
     Returns a FlowWitness, for a growth class a PumpWitness, or an
@@ -914,7 +913,10 @@ def _solve(fs: FlowSystem, growth_class: str | None, node_budget: int,
     if not feasible:
         return Infeasible("the balance and conservation constraints admit no "
                           "fractional solution")
-    search = _Search(problem, node_budget, poll)
+    if budget is None:
+        budget = Budget(limit=DEFAULT_NODE_BUDGET)
+    search = _Search(problem, budget, "balanced-walk search"
+                     if growth_class is None else "pump search")
 
     def accept(values):
         used = {e.eid: values[problem.y_of_edge[e.eid]] for e in kept}

@@ -1,8 +1,11 @@
-"""Finite automata over arbitrary hashable symbols.
+"""Finite automata over arbitrary hashable symbols, and the query Budget.
+
+Budget caps the work of one query.  It lives in this, the lowest module,
+so that every layer charges it where the work happens.
 
 Thompson-style combinators (concat, union, star, shuffle), lambda
-elimination, and subset-construction determinization with a state
-budget, whose Dfa complements.  Also the package's one regular-expression
+elimination, and subset-construction determinization charged to a
+Budget, whose Dfa complements.  Also the package's one regular-expression
 front end: parse_regex reads a token list into a tree of Seq, Alt, Star,
 Plus and Shuffle nodes, and regex_to_nfa folds such a tree into an Nfa.
 Instruction patterns (patterns.py) and the word regexes of
@@ -16,10 +19,37 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 
 class ResourceBudgetError(RuntimeError):
     """A combinatorial budget was exceeded; the answer is unknown."""
+
+
+@dataclass
+class Budget:
+    """Joint cap on the work one query may do.
+
+    Each layer charges its units as it spends them: a flow-search node, a
+    subset state, a built transition, a step of one of decide's searches.
+    cancel is an optional callable polled on every charge; when it
+    returns True the query stops with a ResourceBudgetError.
+    """
+
+    limit: int = 2_000_000
+    used: int = 0
+    cancel: Callable[[], bool] | None = None
+
+    def check(self) -> None:
+        if self.cancel is not None and self.cancel():
+            raise ResourceBudgetError("query cancelled")
+
+    def charge(self, amount: int, what: str = "") -> None:
+        self.check()
+        self.used += amount
+        if self.used > self.limit:
+            suffix = f" during {what}" if what else ""
+            raise ResourceBudgetError(f"budget of {self.limit} exhausted{suffix}")
 
 
 @dataclass(frozen=True)
@@ -211,15 +241,18 @@ class Dfa:
                    frozenset([self.initial]), self.finals, trans)
 
 
-def determinize(nfa: Nfa, max_states: int = 100_000) -> Dfa:
+def determinize(nfa: Nfa, budget: Budget | None = None) -> Dfa:
     """Subset construction; complete over nfa.alphabet.
 
-    Raises ResourceBudgetError when more than max_states subset states
-    appear.
+    Charges one budget unit per subset state, so a Dfa of n states costs
+    exactly n; without a budget, at most 100,000 states are built.
     """
+    if budget is None:
+        budget = Budget(limit=100_000)
     adj = nfa.moves()
     symbols = sorted(nfa.alphabet, key=repr)
     start = nfa.lambda_closure(nfa.initials, adj)
+    budget.charge(1, "determinization")
     index = {start: 0}
     order = [start]
     delta = {}
@@ -233,10 +266,7 @@ def determinize(nfa: Nfa, max_states: int = 100_000) -> Dfa:
                 moved |= adj.get((q, sym), set())
             nxt = nfa.lambda_closure(frozenset(moved), adj)
             if nxt not in index:
-                if len(index) >= max_states:
-                    raise ResourceBudgetError(
-                        f"determinization exceeded {max_states} states"
-                    )
+                budget.charge(1, "determinization")
                 index[nxt] = len(order)
                 order.append(nxt)
                 todo.append(nxt)

@@ -31,6 +31,7 @@ from .machine import (
 )
 from .nfa import (
     Alt,
+    Budget,
     Nfa,
     PatternSyntaxError,
     Plus,
@@ -405,10 +406,14 @@ def is_distinct(expr: InstructionExpr | object) -> bool:
 
 
 class MachineBuilder:
-    """Accumulates transitions; guard positions left open are '*'."""
+    """Accumulates transitions; guard positions left open are '*'.
 
-    def __init__(self, k: int) -> None:
+    With a budget, every add charges one unit, so a construction that
+    would build too large a machine stops with a ResourceBudgetError."""
+
+    def __init__(self, k: int, budget: Budget | None = None) -> None:
         self.k = k
+        self.budget = budget
         self.transitions: list[Transition] = []
         self.states: set[str] = set()
         self._seen: set[tuple] = set()
@@ -421,6 +426,8 @@ class MachineBuilder:
         delta: tuple[int, ...] | None = None,
         fixed: dict[int, str] | None = None,
     ) -> None:
+        if self.budget is not None:
+            self.budget.charge(1, "machine construction")
         delta = delta or (0,) * self.k
         guard = tuple((fixed or {}).get(i, ANY) for i in range(1, self.k + 1))
         self.states.add(src)
@@ -464,9 +471,7 @@ def _all_zero(k: int) -> dict[int, str]:
 # Balanced acceptor of a pattern
 
 
-def eq_acceptor(
-    expr: InstructionExpr | object, k: int | None = None, max_states: int = 100_000
-) -> CounterMachine:
+def eq_acceptor(expr: InstructionExpr | object, k: int | None = None) -> CounterMachine:
     """Machine over the instruction alphabet accepting the pattern's
     balanced words: equal Ci/Di counts per counter, with every Ci before
     any Di.
@@ -479,7 +484,7 @@ def eq_acceptor(
     if not isinstance(expr, InstructionExpr):
         expr = make_expr(expr)
     arity = max(expr.k, k or 1)
-    dfa = determinize(expr_to_nfa(expr, arity), max_states)
+    dfa = determinize(expr_to_nfa(expr, arity))
     live = coreachable(dfa.finals, ((src, dst) for (src, _), dst in dfa.delta.items()))
 
     def name(d: int, bits: int) -> str:
@@ -538,10 +543,10 @@ def _legal_used_sets(k: int):
         yield frozenset().union(*combo)
 
 
-def _generator_lb(k: int) -> CounterMachine:
+def _generator_lb(k: int, budget: Budget | None) -> CounterMachine:
     """All section orders over the 2k letters, each counter's increase
     section before its decrease section, matched counts."""
-    builder = MachineBuilder(k)
+    builder = MachineBuilder(k, budget)
     start = "pick"
 
     def name(used: frozenset, cur: str) -> str:
@@ -574,10 +579,10 @@ def _generator_lb(k: int) -> CounterMachine:
     return builder.machine(instruction_alphabet(k), start, ["acc"])
 
 
-def _generator_lbilbd(k: int) -> CounterMachine:
+def _generator_lbilbd(k: int, budget: Budget | None) -> CounterMachine:
     """Increase sections in any order, then decrease sections in any
     order, matched counts per counter."""
-    builder = MachineBuilder(k)
+    builder = MachineBuilder(k, budget)
 
     def name(kind: str, used: frozenset, cur: int) -> str:
         return kind + "[" + ",".join(map(str, sorted(used))) + "]@" + str(cur)
@@ -672,10 +677,10 @@ def _add_word_loops(builder: MachineBuilder, seq: tuple, entry: str, read,
     builder.add(_loop_name(seq[:-1], seq[-1], 0, True), None, exit_to, fixed=exit_fixed)
 
 
-def _generator_bdilbd(k: int) -> CounterMachine:
+def _generator_bdilbd(k: int, budget: Budget | None) -> CounterMachine:
     """Repeated increase words covering each counter once, then the
     decrease letters in counter order, counts matched per counter."""
-    builder = MachineBuilder(k)
+    builder = MachineBuilder(k, budget)
 
     def bname(i: int) -> str:
         return f"dec{i}"
@@ -693,10 +698,10 @@ def _generator_bdilbd(k: int) -> CounterMachine:
     return builder.machine(instruction_alphabet(k), "pick", ["acc"])
 
 
-def _generator_lbibdd(k: int) -> CounterMachine:
+def _generator_lbibdd(k: int, budget: Budget | None) -> CounterMachine:
     """Increase letters in counter order, then repeated decrease words
     covering each counter once, counts matched per counter."""
-    builder = MachineBuilder(k)
+    builder = MachineBuilder(k, budget)
 
     def aname(i: int) -> str:
         return f"inc{i}"
@@ -713,11 +718,11 @@ def _generator_lbibdd(k: int) -> CounterMachine:
     return builder.machine(instruction_alphabet(k), aname(1), ["acc"])
 
 
-def _generator_lbd(k: int) -> CounterMachine:
+def _generator_lbd(k: int, budget: Budget | None) -> CounterMachine:
     """Segment i mixes increases of later counters with decreases of
     counter i; each decrease segment is nonempty and drains exactly what
     the earlier segments put in."""
-    builder = MachineBuilder(k)
+    builder = MachineBuilder(k, budget)
 
     def name(seg: int, fired: bool) -> str:
         return f"g{seg}{'y' if fired else 'n'}"
@@ -737,10 +742,10 @@ def _generator_lbd(k: int) -> CounterMachine:
     return builder.machine(instruction_alphabet(k), name(0, True), ["acc"])
 
 
-def _generator_lbi(k: int) -> CounterMachine:
+def _generator_lbi(k: int, budget: Budget | None) -> CounterMachine:
     """Segment i mixes the increase of counter i+1 with decreases of
     earlier counters; each increase segment is nonempty."""
-    builder = MachineBuilder(k)
+    builder = MachineBuilder(k, budget)
 
     def name(seg: int, fired: bool) -> str:
         return f"g{seg}{'y' if fired else 'n'}"
@@ -770,11 +775,12 @@ _GENERATORS = {
 }
 
 
-def generator(tag: str, k: int) -> CounterMachine:
+def generator(tag: str, k: int, budget: Budget | None = None) -> CounterMachine:
     """The canonical machine over the instruction alphabet whose language
-    generates the family named by tag, at arity k."""
+    generates the family named by tag, at arity k.  With a budget, each
+    transition added charges one unit."""
     if tag not in _GENERATORS:
         raise ValueError(f"no generator for family {tag!r}")
     if k < 1:
         raise ValueError("arity must be at least 1")
-    return _GENERATORS[tag](k)
+    return _GENERATORS[tag](k, budget)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -177,29 +178,45 @@ def test_letter_bounded_verdicts(capsys, verb, name, answer, witness):
 
 
 # Blocks of the letters a and aa must get distinct names: run together,
-# (a, aa) and (aa, a) both read "aaa".
-A_AA = """ncm
+# (a, aa) and (aa, a) both read "aaa".  The witness and the certificate
+# name each block by its letters in brackets.
+ALTERNATING = """ncm
 counters 1
 alphabet a aa
 states p q
 initial p
 final p
-trans t1 p a * q 0
-trans t2 q aa * p 0
+trans t1 p {} * q 0
+trans t2 q {} * p 0
 """
 
 
 def test_m_bounded_with_multi_character_letters(capsys, tmp_path):
-    path = tmp_path / "a-aa.ncm"
-    path.write_text(A_AA)
-    assert run(["m-bounded", str(path), "2", "--format", "structured"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["answer"] is True
+    for first, second in [("a", "aa"), ("aa", "a")]:
+        path = tmp_path / f"{first}-{second}.ncm"
+        path.write_text(ALTERNATING.format(first, second))
+        assert run(["m-bounded", str(path), "2", "--format", "structured"]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)
+        block = f"[{first} {second}]"
+        assert (verdict["answer"], verdict["witness"]) == (True, block)
+        assert verdict["certificate"] == f"language contained in {block}*"
 
 
 @pytest.mark.parametrize("m", ["20000", "1000000"])
 def test_m_bounded_charges_its_blocks_before_building(capsys, m):
     assert run(["m-bounded", ANBN, m, "--budget", "10"]) == EXIT_BUDGET
     assert "budget of 10 exhausted" in capsys.readouterr().err
+
+
+# Without a budget, both constructions run for over a minute; every
+# transition they add is charged, so a small budget stops them at once.
+@pytest.mark.parametrize("argv", [["generator", "LB", "11"], ["sbd-form", "7"]],
+                         ids=["generator", "sbd-form"])
+def test_construction_verbs_charge_the_budget(capsys, argv):
+    start = time.process_time()
+    assert run([*argv, "--budget", "10"]) == EXIT_BUDGET
+    assert time.process_time() - start < 5
+    assert "budget of 10 exhausted during machine construction" in capsys.readouterr().err
 
 
 # Prints the dump of every construction; the dumps must not depend on

@@ -29,7 +29,7 @@ from ncmkit.flows import (
     validate_witness,
 )
 from ncmkit.machine import load_machine
-from ncmkit.nfa import ResourceBudgetError
+from ncmkit.nfa import Budget, ResourceBudgetError
 from ncmkit.phase import INPUT_CLASS, phase_automaton, to_flow_system
 
 from conftest import FIXTURES, fixture_path
@@ -158,12 +158,31 @@ class TestSolve:
 
     def test_node_budget(self):
         with pytest.raises(ResourceBudgetError):
-            solve(two_node_system(), node_budget=0)
+            solve(two_node_system(), Budget(limit=0))
 
     def test_stats_report_node_count(self):
         stats: dict = {}
         solve(two_node_system(), stats=stats)
         assert stats["nodes"] >= 1
+
+    @pytest.mark.parametrize("growth", [None, INPUT_CLASS])
+    def test_budget_is_charged_one_unit_per_node(self, growth):
+        fs = to_flow_system(phase_automaton(load_machine(fixture_path("anbn.ncm"))))
+        budget, stats = Budget(), {}
+        if growth is None:
+            solve(fs, budget, stats)
+        else:
+            solve_unbounded(fs, growth, budget, stats)
+        assert budget.used == stats["nodes"] > 1
+
+    def test_cancel_stops_the_search_midway(self):
+        # infinite anbn expands 42 nodes; cancel turns true on the sixth
+        fs = to_flow_system(phase_automaton(load_machine(fixture_path("anbn.ncm"))))
+        polls = iter(range(1000))
+        budget = Budget(cancel=lambda: next(polls) >= 5)
+        with pytest.raises(ResourceBudgetError, match="query cancelled"):
+            solve_unbounded(fs, INPUT_CLASS, budget)
+        assert budget.used == 5
 
     def test_random_systems_agree_with_brute_force(self):
         rng = random.Random(1312)
@@ -521,9 +540,9 @@ def solve_briefly(fs, growth, stats=None):
     search nodes: the LP runs before the search."""
     try:
         if growth is None:
-            solve(fs, node_budget=50, stats=stats)
+            solve(fs, Budget(limit=50), stats=stats)
         else:
-            solve_unbounded(fs, growth, node_budget=50, stats=stats)
+            solve_unbounded(fs, growth, Budget(limit=50), stats=stats)
     except ResourceBudgetError:
         pass
 
@@ -788,7 +807,7 @@ def test_sweep_cap_and_all_dirty_restart():
 
 @on_fixture_systems
 def test_root_propagation_on_fixtures(name, fs, kept, growth, problem):
-    search = flows._Search(problem, 1)
+    search = flows._Search(problem, Budget(limit=1), "balanced-walk search")
     root = [(lo, problem.box) for lo in problem.lowers]
     expected = list(root)
     feasible = reference_propagate(search.rows, expected)
@@ -837,9 +856,9 @@ def traced_search(monkeypatch, propagate, fs, growth, budget):
     stats: dict = {}
     try:
         if growth is None:
-            result = solve(fs, node_budget=budget, stats=stats)
+            result = solve(fs, Budget(limit=budget), stats=stats)
         else:
-            result = solve_unbounded(fs, growth, node_budget=budget, stats=stats)
+            result = solve_unbounded(fs, growth, Budget(limit=budget), stats=stats)
     except ResourceBudgetError:
         result = ResourceBudgetError
     monkeypatch.undo()

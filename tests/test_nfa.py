@@ -19,6 +19,7 @@ from ncmkit.decide import is_empty
 from ncmkit.machine import load_machine
 from ncmkit.oracle import caps_for, enumerate_language
 from ncmkit.nfa import (
+    Budget,
     Dfa,
     Nfa,
     PatternSyntaxError,
@@ -132,7 +133,21 @@ class TestDeterminize:
         tail = " ".join("(a | b)" for _ in range(9))
         nfa = parse_word_regex(f"(a | b)* a {tail}")
         with pytest.raises(ResourceBudgetError):
-            determinize(nfa, max_states=100)
+            determinize(nfa, Budget(limit=100))
+
+    def test_budget_is_charged_one_unit_per_state(self):
+        tail = " ".join("(a | b)" for _ in range(4))
+        budget = Budget(used=7)
+        dfa = determinize(parse_word_regex(f"(a | b)* a {tail}"), budget)
+        assert dfa.n_states > 1 and budget.used == 7 + dfa.n_states
+
+    def test_cancel_stops_determinization_midway(self):
+        tail = " ".join("(a | b)" for _ in range(4))
+        polls = iter(range(1000))
+        budget = Budget(cancel=lambda: next(polls) >= 5)
+        with pytest.raises(ResourceBudgetError, match="query cancelled"):
+            determinize(parse_word_regex(f"(a | b)* a {tail}"), budget)
+        assert budget.used == 5
 
 
 class TestIntersection:
