@@ -172,7 +172,7 @@ def _search(machine: CounterMachine, budget: Budget,
     fs = to_flow_system(pa, change)
     if growth_class is None:
         walk = solve(fs, budget, stats={})
-        return pa, walk if isinstance(walk, Infeasible) else witness_run(pa, walk)
+        return pa, (walk if isinstance(walk, Infeasible) else witness_run(pa, walk))
     pump = solve_unbounded(fs, growth_class, budget, stats={})
     if pump is None:
         return pa, None
@@ -201,10 +201,6 @@ def _escaping_run(machine: CounterMachine, automaton, budget: Budget) -> Run | N
     return _accepted_run(machine, determinize(nfa, budget).complement(), budget)
 
 
-def _word(run: Run) -> str:
-    return "".join(run.word)
-
-
 # ---------------------------------------------------------------------------
 # Core questions: emptiness, infiniteness, membership, containment.
 
@@ -215,7 +211,7 @@ def is_empty(machine: CounterMachine, budget: Budget | None = None) -> Verdict:
     _, run = _search(machine, budget)
     if isinstance(run, Infeasible):
         return Verdict(True, None, "no balanced walk: " + run.reason, budget.used)
-    return Verdict(False, _word(run),
+    return Verdict(False, "".join(run.word),
                    "accepting run reconstructed from a balanced walk",
                    budget.used)
 
@@ -229,7 +225,7 @@ def is_infinite(machine: CounterMachine, budget: Budget | None = None) -> Verdic
                        budget.used)
     base, pumped = pump
     growth = len(pumped.word) - len(base.word)
-    return Verdict(True, PumpEvidence(_word(base), _word(pumped)),
+    return Verdict(True, PumpEvidence("".join(base.word), "".join(pumped.word)),
                    f"each pump round adds {growth} input letters", budget.used)
 
 
@@ -272,7 +268,7 @@ def contained_in_regular(machine: CounterMachine, automaton,
     if run is None:
         return Verdict(True, None, "no accepted word escapes the automaton",
                        budget.used)
-    return Verdict(False, _word(run), "accepted word the automaton rejects",
+    return Verdict(False, "".join(run.word), "accepted word the automaton rejects",
                    budget.used)
 
 
@@ -303,7 +299,7 @@ def satisfies(machine: CounterMachine, expr, budget: Budget | None = None) -> Ve
     if behavior is None:
         return Verdict(True, None, "every accepting behavior matches the pattern",
                        budget.used)
-    return Verdict(False, BehaviorCounterexample(_word(behavior),
+    return Verdict(False, BehaviorCounterexample("".join(behavior.word),
                                                  replay(machine, behavior.labels)),
                    "a run realizes a behavior outside the pattern", budget.used)
 
@@ -475,7 +471,7 @@ def is_letter_bounded(machine: CounterMachine,
     pa, pump = _search(product, budget, CHANGE_CLASS, opens)
     if pump is not None:
         base, pumped = pump
-        return Verdict(False, PumpEvidence(_word(base), _word(pumped)),
+        return Verdict(False, PumpEvidence("".join(base.word), "".join(pumped.word)),
                        "letter alternations grow without bound", budget.used)
     sequences = _block_sequences(_block_machine(pa, opens), budget)
     if not sequences:
@@ -512,7 +508,7 @@ def is_m_bounded(machine: CounterMachine, m: int,
     budget.charge(len(letters) ** m, "block alphabet")
     stray = _accepted_run(machine, _length_mod_nfa(machine.alphabet, m), budget)
     if stray is not None:
-        return Verdict(False, _word(stray),
+        return Verdict(False, "".join(stray.word),
                        f"accepted word of length not divisible by {m}",
                        budget.used)
     # A block is named by its letters run together, which tells blocks
@@ -630,7 +626,7 @@ def bd_with_bound(machine: CounterMachine, n: int,
                        f"behaviors lie in the union of patterns of total "
                        f"length <= {n}, but no single one contains them all",
                        budget.used)
-    return Verdict(False, _word(escape),
+    return Verdict(False, "".join(escape.word),
                    f"behavior escapes every pattern of total length <= {n}",
                    budget.used)
 
@@ -685,7 +681,7 @@ def infer_family(machine: CounterMachine, tag: str,
     if tag == "LBiLBd":
         split = _escaping_run(sd, _increases_then_decreases_nfa(machine.k), budget)
         if split is not None:
-            return Verdict(False, _word(split),
+            return Verdict(False, "".join(split.word),
                            "a behavior increases after its first decrease",
                            budget.used)
         return Verdict(True, inner.witness,
