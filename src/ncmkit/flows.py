@@ -9,24 +9,32 @@ of times.  Both run one path with integer arithmetic: trim the system to
 the edges on source-to-sink paths; assemble one linear system, the
 walk's conservation and balance rows plus, for a growth class, the same
 rows over a second copy of the edge variables; refute it with an exact
-phase-1 simplex on the circulation rows, then on the walk rows; else
-eliminate its equalities by Gauss-Jordan (checking consistency and adding
-one row per pivot variable) and run a best-first branch-and-bound that
-splits variable intervals inside the standard small-solution box for
-integer linear systems.  At each search node the intervals are tightened
-against the rows, with divisibility checks, until nothing changes; the
-tightening revisits only the rows whose variables moved, so a node whose
-parent reached that fixpoint starts from the rows of its branch variable
-alone.  The walk, and the walk plus the circulation, must have connected,
-source-anchored support; assignments that fail this are excluded by
-forbidding their exact support pattern and continuing.
+phase-1 simplex on the circulation rows, then on the walk rows, which
+also gives a vertex of each.  When that vertex already is an answer, the
+search never starts.  Otherwise a depth-first branch-and-bound runs
+inside the standard small-solution box for integer linear systems.  At
+each node, variable intervals are first tightened against the rows and
+the rows of their Gauss-Jordan elimination, with divisibility checks;
+then an exact LP over the node's bounds gives a vertex.  The node is
+pruned when either finds no solution.  Otherwise it branches on the
+first fractional walk variable, or, when the walk is integral but the
+walk or the walk plus the circulation has a support part not connected
+to the source, on which of the edges around that part is used (a
+subtour-elimination disjunction, as Dantzig, Fulkerson and Johnson,
+1954).  The circulation rows are homogeneous, so a rational circulation
+is scaled to an integer one instead of being branched on.
+
+A "no" rests only on an interval contradiction, an infeasible relaxation
+of a node's bounds, and branching that covers every integer point of the
+box; a "yes" is checked again before it is returned.
 
 The systems are small, sparse and mostly +-1, so the elimination and
 the simplex work fraction-free on sparse integer rows ({var: int} plus
 an int right-hand side): a row is combined with a pivot row by
 row <- p*row - f*pivot_row, touching only the rows that hold the pivot
-column, and divided by the gcd of its entries.  No rational number is
-ever formed; the results are those of exact rational arithmetic.
+column, and divided by the gcd of its entries.  Only the vertex read off
+the final simplex tableau is rational; the results are those of exact
+rational arithmetic.
 
 Everything is deterministic.  Each expanded search node is charged, as it
 is expanded, to the query's Budget (nfa.Budget); when the budget runs out
@@ -36,12 +44,10 @@ returning a wrong answer.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
-from math import gcd
-from operator import itemgetter
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .nfa import Budget
 
@@ -401,8 +407,9 @@ class _Problem:
     var_names: list
     lowers: list
     rows: list
-    branch_order: list
-    real_vars: list          # indices counted by the search priority
+    walk_order: list         # walk and sink-choice variables, in branch order
+    edges: list              # the trimmed edges, by edge id
+    source: str
     y_of_edge: dict          # eid -> var index of the walk
     z_of_edge: dict          # eid -> var index of the circulation, if any
     sink_of_var: dict        # var index -> sink node
@@ -497,22 +504,12 @@ def _assemble(fs: FlowSystem, kept: list[FlowEdge], kept_sinks: list,
 
     rows = _dedup_rows(rows)
     box = _box_bound(len(var_names), rows, lowers)
-    real_vars = [y_of_edge[e.eid] for e in kept]
-    if with_circulation:
-        real_vars += [z_of_edge[e.eid] for e in kept]
-
     # branch order: sink choices first, then variables whose edge tail is
     # farthest from the source, edge ids breaking ties
-    edge_rank = {}
-    for e in kept:
-        edge_rank[y_of_edge[e.eid]] = (1, -depths[e.eid], e.eid)
-        if with_circulation:
-            edge_rank[z_of_edge[e.eid]] = (2, -depths[e.eid], e.eid)
-    for idx in sink_vars:
-        edge_rank[idx] = (0, 0, sink_of_var[idx])
-    branch_order = sorted(range(len(var_names)), key=lambda i: edge_rank[i])
-
-    return _Problem(var_names, lowers, rows, branch_order, real_vars,
+    walk_order = sink_vars + [y_of_edge[e.eid] for e in
+                              sorted(kept, key=lambda e: (-depths[e.eid], e.eid))]
+    return _Problem(var_names, lowers, rows, walk_order,
+                    sorted(kept, key=lambda e: e.eid), fs.source,
                     y_of_edge, z_of_edge, sink_of_var, box)
 
 
@@ -520,173 +517,182 @@ def _assemble(fs: FlowSystem, kept: list[FlowEdge], kept_sinks: list,
 # Search
 
 
+def _relaxation(rows: list[_Row], intervals: list, capped=()):
+    """The rational relaxation of some rows inside a node's bounds.
+
+    Returns (pivots, vertex): the simplex pivots it took, and a vertex,
+    one rational value per variable, or None when the relaxation is
+    infeasible.  A variable whose interval is one value is substituted;
+    every other one is shifted by its lower bound, and bounded above only
+    when it is in capped, the variables whose upper bound branching set.
+    The other upper bounds are those of the box or follow from it, and
+    as rows they would only make the vertex's numbers box-sized."""
+    n = len(intervals)
+    lp_rows: list[tuple[dict, int]] = []
+    slack = n
+    for row in rows:
+        coeffs = {}
+        rhs = row.rhs
+        for v, c in row.coeffs.items():
+            lo, hi = intervals[v]
+            rhs -= c * lo
+            if lo < hi:
+                coeffs[v] = c
+        if row.kind == _GE:
+            coeffs[slack] = -1
+            slack += 1
+        elif not coeffs:
+            if rhs:
+                return 0, None
+            continue
+        lp_rows.append((coeffs, rhs))
+    for v in sorted(capped):
+        lo, hi = intervals[v]
+        if lo < hi:
+            lp_rows.append(({v: 1, slack: 1}, hi - lo))
+            slack += 1
+    feasible, pivots, vertex = _lp_feasible(lp_rows, slack)
+    if not feasible:
+        return pivots, None
+    return pivots, [lo + vertex[v] for v, (lo, _) in enumerate(intervals)]
+
+
 class _Search:
+    """Depth-first branch-and-bound over an assembled system.
+
+    A node is its intervals, one [lo, hi] per variable, and the set of
+    variables whose upper bound branching set (capped).  Expanding a
+    node propagates its intervals against the rows and the eliminated
+    rows, takes a vertex of its relaxation (the one it was handed when
+    that lies inside its intervals) and either accepts the vertex or
+    pushes the children of _disjunction, first child on top."""
+
     def __init__(self, problem: _Problem, budget: Budget, what: str):
         self.p = problem
         self.budget = budget
         self.what = what
         self.used = 0
         self.row_visits = 0
-        consistent, pivots, triangular = _eliminate(problem.rows, len(problem.var_names))
+        self.lp_pivots = 0
+        consistent, _, triangular = _eliminate(problem.rows, len(problem.var_names))
         self.consistent = consistent
-        self.pivot_rows = triangular
-        pivot_set = set(pivots)
-        self.branch_vars = [v for v in problem.branch_order if v not in pivot_set]
         self.rows = _dedup_rows(problem.rows + triangular)
         self.occurs = _occurrences(self.rows, len(problem.var_names))
-        self.real_set = frozenset(problem.real_vars)
-        self.forbidden: set = set()
 
-    def _priority(self, intervals) -> int:
-        """The sum of the counted variables' lower bounds."""
-        lows = map(itemgetter(0), map(intervals.__getitem__, self.p.real_vars))
-        return sum(lows)
-
-    def _leaf_values(self, intervals):
-        """Pin pivot variables by back-substitution; None if impossible."""
-        values = [None] * len(self.p.var_names)
-        for v in self.branch_vars:
-            lo, hi = intervals[v]
-            if lo != hi:
-                return None
-            values[v] = lo
-        for row in self.pivot_rows:
-            pivot = None
-            acc = row.rhs
-            coeff = 0
-            for v, c in row.coeffs.items():
-                if values[v] is None:
-                    if pivot is not None:
-                        return None
-                    pivot, coeff = v, c
-                else:
-                    acc -= c * values[v]
-            if pivot is None:
-                if acc != 0:
-                    return None
-                continue
-            if acc % coeff != 0:
-                return None
-            val = acc // coeff
-            lo, hi = intervals[pivot]
-            if not lo <= val <= hi:
-                return None
-            values[pivot] = val
-        if any(v is None for v in values):
-            return None
-        for row in self.rows:
-            total = sum(c * values[v] for v, c in row.coeffs.items())
-            if row.kind == _EQ and total != row.rhs:
-                return None
-            if row.kind == _GE and total < row.rhs:
-                return None
-        return values
-
-    def run(self, accept):
-        """Best-first search; accept(values) returns a result or None.
-
-        An expanded node's intervals after propagation are kept as a
-        frame, one flat tuple (parent frame, branch variable, dirty rows,
-        v1, interval1, v2, interval2, ...): the variable its two children
-        branch on and the rows they start with, then the variables that
-        branching and propagation moved from the parent frame, with their
-        new intervals, interned per search.  A queued node is (priority,
-        tie-break, frame, the branch variable's new interval).  Storing
-        whole interval lists instead would hold a copy of every
-        variable's box-sized bound per queued node, which fills memory in
-        a time-limited search that expands thousands of nodes, and one
-        flat tuple per frame saves the headers of two more."""
+    def run(self, vertex: list):
+        """An accepted vertex, or None when the box holds no solution.
+        vertex is a point of the root's relaxation."""
         if not self.consistent:
             return None
-        interned: dict = {}
-
-        def intern(interval):
-            return interned.setdefault(interval, interval)
-
-        base = tuple(intern((lo, self.p.box)) for lo in self.p.lowers)
-        counter = itertools.count()
-        heap = [(self._priority(base), next(counter), (None, None, None, *base),
-                 None)]
-        while heap:
-            _, _, frame, iv = heapq.heappop(heap)
+        root = [(lo, self.p.box) for lo in self.p.lowers]
+        stack = [(root, frozenset(), None, vertex)]
+        while stack:
+            intervals, capped, dirty, vertex = stack.pop()
             self.used += 1
             self.budget.charge(1, self.what)
-            intervals = _unfold(frame)
-            var, dirty = frame[1], frame[2]
-            if var is not None:
-                intervals[var] = iv
-            outcome, moved, visits = _propagate(self.rows, self.occurs,
-                                                intervals, dirty)
+            outcome, _, visits = _propagate(self.rows, self.occurs, intervals, dirty)
             self.row_visits += visits
             if outcome == _CONTRADICTION:
                 continue
-            branch_var = None
-            for v in self.branch_vars:
-                if intervals[v][0] < intervals[v][1]:
-                    branch_var = v
-                    break
-            if branch_var is None:
-                values = self._leaf_values(intervals)
-                if values is None:
+            if vertex is None or not all(lo <= x <= hi for x, (lo, hi)
+                                         in zip(vertex, intervals)):
+                pivots, vertex = _relaxation(self.p.rows, intervals, capped)
+                self.lp_pivots += pivots
+                if vertex is None:
                     continue
-                result = accept(values)
-                if result is not None:
-                    return result
-                continue
-            if var is not None:
-                moved.add(var)
-            # a fixpoint narrowed in the branch variable only needs that
-            # variable's rows revisited; a capped one needs all of them
-            dirty = self.occurs[branch_var] if outcome == _FIXPOINT else None
-            frame = (frame, branch_var, dirty,
-                     *itertools.chain.from_iterable(
-                         (v, intern(intervals[v])) for v in moved))
-            priority = self._priority(intervals)
-            lo, hi = intervals[branch_var]
-            heapq.heappush(heap, (priority, next(counter), frame,
-                                  intern((lo, lo))))
-            heapq.heappush(heap, (priority + (branch_var in self.real_set),
-                                  next(counter), frame, intern((lo + 1, hi))))
+            children = _disjunction(self.p, vertex)
+            if children is None:
+                return vertex
+            # a child of a fixpoint needs only the rows of the variables
+            # it narrowed revisited; a child of a capped node needs all
+            for bounds in reversed(children):
+                child = list(intervals)
+                touched = 0
+                for v, lo, hi in bounds:
+                    old_lo, old_hi = child[v]
+                    hi = old_hi if hi is None else min(hi, old_hi)
+                    child[v] = (max(lo, old_lo), hi)
+                    touched |= self.occurs[v]
+                if all(child[v][0] <= child[v][1] for v, _, _ in bounds):
+                    caps = {v for v, _, hi in bounds if hi is not None}
+                    stack.append((child, capped | caps,
+                                  touched if outcome == _FIXPOINT else None, None))
         return None
 
 
-def _unfold(frame) -> list:
-    """The interval list a search frame stands for: its root's intervals
-    with every frame's moves applied, outermost first."""
-    chain = []
-    while frame[0] is not None:
-        chain.append(frame)
-        frame = frame[0]
-    intervals = list(frame[3:])
-    for moves in reversed(chain):
-        for i in range(3, len(moves), 2):
-            intervals[moves[i]] = moves[i + 1]
-    return intervals
+def _disjunction(p: _Problem, x: list):
+    """None when the point x is a solution of the system's constraints:
+    every walk variable integral, and the walk's support and, with a
+    circulation, the support of walk plus circulation connected to the
+    source.  Otherwise children that cover every solution in the node
+    but exclude x, each a list of (var, lo, hi) bounds, hi None for none.
+
+    A fractional walk variable is split at its floor.  A support part S
+    not connected to the source splits into: every edge inside S unused,
+    or, for each edge crossing S in edge order, that edge used and the
+    ones before it unused.  For the joint support an edge is used through
+    the walk or, unused by the walk, through the circulation."""
+    for v in p.walk_order:
+        if x[v].denominator != 1:
+            down = x[v].numerator // x[v].denominator
+            return [[(v, 0, down)], [(v, down + 1, None)]]
+    walk = {eid: x[v] for eid, v in p.y_of_edge.items()}
+    part = _stranded(p.edges, walk, p.source)
+    if part is not None:
+        return _cut(p.edges, part, {eid: (v,) for eid, v in p.y_of_edge.items()})
+    if not p.z_of_edge:
+        return None
+    joint = {eid: n + x[p.z_of_edge[eid]] for eid, n in walk.items()}
+    part = _stranded(p.edges, joint, p.source)
+    if part is None:
+        return None
+    return _cut(p.edges, part, {eid: (v, p.z_of_edge[eid])
+                                for eid, v in p.y_of_edge.items()})
+
+
+def _cut(edges: list[FlowEdge], part: set, use: dict) -> list:
+    """The children of a connectivity disjunction around the nodes in
+    part; use maps an edge id to the variables whose sum is its use."""
+    inside = [e for e in edges if e.src in part and e.dst in part]
+    children = [[(v, 0, 0) for e in inside for v in use[e.eid]]]
+    unused: list = []
+    for e in edges:
+        if (e.src in part) != (e.dst in part):
+            for i, v in enumerate(use[e.eid]):
+                children.append(unused + [(u, 0, 0) for u in use[e.eid][:i]]
+                                + [(v, 1, None)])
+            unused += [(v, 0, 0) for v in use[e.eid]]
+    return children
 
 
 # ---------------------------------------------------------------------------
 # Support connectivity and walk reconstruction
 
 
-def _support_connected(edges: list[FlowEdge], used: dict, source: str) -> bool:
-    """True when every used edge lies in the undirected closure of the
-    source over used edges (so one walk can cover them all)."""
-    live = [e for e in edges if used.get(e.eid, 0) > 0]
-    if not live:
-        return True
-    adj = defaultdict(set)
-    for e in live:
-        adj[e.src].add(e.dst)
-        adj[e.dst].add(e.src)
-    seen = {source}
-    stack = [source]
+def _component(adj: dict, start: str) -> set:
+    seen = {start}
+    stack = [start]
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
+        for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return all(e.src in seen and e.dst in seen for e in live)
+    return seen
+
+
+def _stranded(edges: list[FlowEdge], used: dict, source: str):
+    """None when every used edge lies in the undirected closure of the
+    source over used edges (so one walk can cover them all); otherwise
+    the nodes of the used edges' undirected component that holds the
+    least node name the source does not reach."""
+    adj = defaultdict(list)
+    for e in edges:
+        if used.get(e.eid, 0) > 0:
+            adj[e.src].append(e.dst)
+            adj[e.dst].append(e.src)
+    reached = _component(adj, source)
+    rest = [v for v in adj if v not in reached]
+    return _component(adj, min(rest)) if rest else None
 
 
 def _euler_walk(edges: list[FlowEdge], used: dict, source: str, sink: str):
@@ -756,15 +762,17 @@ def validate_witness(fs: FlowSystem, witness: FlowWitness) -> list:
 # Rational feasibility (phase-1 simplex)
 
 
-def _lp_feasible(rows: list[tuple[dict, int]], n_vars: int) -> tuple[bool, int]:
+def _lp_feasible(rows: list[tuple[dict, int]], n_vars: int):
     """Is {A x = rhs, x >= 0} feasible over the rationals?
 
-    Returns the answer and the number of simplex pivots it took.  Exact
-    phase-1 simplex with one artificial variable per row and Bland's
-    rule (so it terminates): the entering column is the lowest-index one
-    with a negative reduced cost, and the leaving row has the minimum
-    ratio, ties going to the lowest basic variable.  Artificials that
-    leave the basis stay in the tableau and may enter again.
+    Returns the answer, the number of simplex pivots it took and, when
+    feasible, a vertex: a list of n_vars Fractions that satisfies the
+    rows (else None).  Exact phase-1 simplex with one artificial
+    variable per row and Bland's rule (so it terminates): the entering
+    column is the lowest-index one with a negative reduced cost, and the
+    leaving row has the minimum ratio, ties going to the lowest basic
+    variable.  Artificials that leave the basis stay in the tableau and
+    may enter again.
 
     The arithmetic is integer and fraction-free.  Each sparse tableau
     row stands for itself divided by an implicit positive scale, the
@@ -775,9 +783,9 @@ def _lp_feasible(rows: list[tuple[dict, int]], n_vars: int) -> tuple[bool, int]:
     gcd), then divides the row by the gcd of its entries.  Only signs
     and ratios are read, so the pivots are those of the rational
     tableau.  The system is feasible when every artificial still basic
-    has a zero right-hand side.  Used to refute systems outright before
-    the integer search, which on its own can only refute by exhausting
-    the box.
+    has a zero right-hand side; the vertex is then read off the final
+    tableau, rhs[r] / tab[r][basis[r]] for each basic original column
+    and 0 for the others.
     """
     m = len(rows)
     tab: list[dict] = []
@@ -824,28 +832,13 @@ def _lp_feasible(rows: list[tuple[dict, int]], n_vars: int) -> tuple[bool, int]:
         cost, _ = _combine(cost, 0, p // g, tab[leave], 0, f // g)
         basis[leave] = entering
         pivots += 1
-    feasible = all(rhs[r] == 0 for r in range(m) if basis[r] >= n_vars)
-    return feasible, pivots
-
-
-def _problem_lp_feasible(problem: _Problem, rows: list[_Row]) -> tuple[bool, int]:
-    """Rational relaxation of some rows of an assembled system, lower
-    bounds included, with the simplex pivots it took.
-
-    A negative answer proves the integer system infeasible without any
-    search; a positive one hands over to the next rows or to the
-    branch-and-bound."""
-    lp_rows: list[tuple[dict, int]] = []
-    n = len(problem.var_names)
-    slacks = 0
-    for row in rows:
-        rhs = row.rhs - sum(c * problem.lowers[v] for v, c in row.coeffs.items())
-        coeffs = dict(row.coeffs)
-        if row.kind == _GE:
-            coeffs[n + slacks] = -1
-            slacks += 1
-        lp_rows.append((coeffs, rhs))
-    return _lp_feasible(lp_rows, n + slacks)
+    if any(rhs[r] for r in range(m) if basis[r] >= n_vars):
+        return False, pivots, None
+    vertex = [Fraction(0)] * n_vars
+    for r, j in enumerate(basis):
+        if j < n_vars:
+            vertex[j] = Fraction(rhs[r], tab[r][j])
+    return True, pivots, vertex
 
 
 # ---------------------------------------------------------------------------
@@ -861,9 +854,10 @@ def solve(fs: FlowSystem, budget: Budget | None = None,
     the budget ("balanced-walk search"), so ResourceBudgetError is raised
     when it runs out, or is cancelled, before either conclusion; without
     a budget the search stops after DEFAULT_NODE_BUDGET nodes.  When
-    stats is a dict, the simplex pivots of the rational relaxation are
-    written to stats['lp_pivots'], and once a search ran, the number of
-    search nodes expanded to stats['nodes'] and the row visits of their
+    stats is a dict, the simplex pivots of every rational relaxation
+    solved are written to stats['lp_pivots'], and once the relaxation
+    is feasible, the number of search nodes expanded (0 when the root's
+    vertex is a walk) to stats['nodes'] and the row visits of their
     interval propagation to stats['row_visits']."""
     return _solve(fs, None, budget, stats)
 
@@ -886,8 +880,10 @@ def _solve(fs: FlowSystem, growth_class: str | None, budget: Budget | None,
     """The one path of solve (growth_class None) and solve_unbounded.
 
     Returns a FlowWitness, for a growth class a PumpWitness, or an
-    Infeasible.  The circulation's rows are refuted before the walk's,
-    and the witness found is checked again before it is returned."""
+    Infeasible.  The circulation's rows are refuted before the walk's;
+    their two vertices make the root's, which is the answer when it is
+    a solution, and otherwise starts the search.  The witness found is
+    checked again before it is returned."""
     trimmed = _trim(fs)
     if trimmed is None:
         return Infeasible("an edge with a positive lower bound lies on no "
@@ -902,58 +898,53 @@ def _solve(fs: FlowSystem, growth_class: str | None, budget: Budget | None,
     z_vars = set(problem.z_of_edge.values())
     circulation_rows = [row for row in problem.rows if not z_vars.isdisjoint(row.coeffs)]
     walk_rows = [row for row in problem.rows if z_vars.isdisjoint(row.coeffs)]
+    root = [(lo, problem.box) for lo in problem.lowers]
     lp_pivots = 0
+    blocks = []
     for rows in (circulation_rows, walk_rows):
-        feasible, pivots = _problem_lp_feasible(problem, rows)
+        pivots, block = _relaxation(rows, root)
         lp_pivots += pivots
-        if not feasible:
-            break
-    if stats is not None:
-        stats["lp_pivots"] = lp_pivots
-    if not feasible:
-        return Infeasible("the balance and conservation constraints admit no "
-                          "fractional solution")
-    if budget is None:
-        budget = Budget(limit=DEFAULT_NODE_BUDGET)
-    search = _Search(problem, budget, "balanced-walk search"
-                     if growth_class is None else "pump search")
-
-    def accept(values):
-        used = {e.eid: values[problem.y_of_edge[e.eid]] for e in kept}
-        circ = {eid: values[z] for eid, z in problem.z_of_edge.items()}
-        supports = (frozenset(eid for eid, c in used.items() if c > 0),
-                    frozenset(eid for eid, c in circ.items() if c > 0))
-        if supports in search.forbidden:
-            return None
-        connected = _support_connected(kept, used, fs.source)
-        if connected and circ:
-            joint = {eid: c + circ[eid] for eid, c in used.items()}
-            connected = _support_connected(kept, joint, fs.source)
-        if not connected:
-            search.forbidden.add(supports)
-            return None
-        sink = next(problem.sink_of_var[v] for v in problem.sink_of_var
-                    if values[v] == 1)
-        walk = _euler_walk(kept, used, fs.source, sink)
-        base = FlowWitness({e.eid: used.get(e.eid, 0) for e in fs.edges}, walk, sink)
-        return base, {e.eid: circ.get(e.eid, 0) for e in fs.edges}
-
+        if block is None:
+            if stats is not None:
+                stats["lp_pivots"] = lp_pivots
+            return Infeasible("the balance and conservation constraints admit no "
+                              "fractional solution")
+        blocks.append(block)
+    # the two blocks share no variable, so their vertices make one
+    circulation_block, vertex = blocks
+    for v in z_vars:
+        vertex[v] = circulation_block[v]
+    search = None
     try:
-        found = search.run(accept)
+        if _disjunction(problem, vertex) is not None:
+            if budget is None:
+                budget = Budget(limit=DEFAULT_NODE_BUDGET)
+            search = _Search(problem, budget, "balanced-walk search"
+                             if growth_class is None else "pump search")
+            vertex = search.run(vertex)
     finally:
         if stats is not None:
-            stats["nodes"] = search.used
-            stats["row_visits"] = search.row_visits
-    if found is None:
+            stats["lp_pivots"] = lp_pivots + (search.lp_pivots if search else 0)
+            stats["nodes"] = search.used if search else 0
+            stats["row_visits"] = search.row_visits if search else 0
+    if vertex is None:
         return Infeasible("the balance and conservation constraints admit no "
                           "usable assignment")
-    base, circulation = found
+    used = {eid: int(vertex[v]) for eid, v in problem.y_of_edge.items()}
+    sink = next(t for v, t in problem.sink_of_var.items() if vertex[v] == 1)
+    base = FlowWitness({e.eid: used.get(e.eid, 0) for e in fs.edges},
+                       _euler_walk(kept, used, fs.source, sink), sink)
+    # a rational circulation times the lcm of its denominators is integral
+    scale = lcm(*(vertex[v].denominator for v in z_vars))
+    circulation = {e.eid: 0 for e in fs.edges}
+    circulation.update((eid, int(scale * vertex[v]))
+                       for eid, v in problem.z_of_edge.items())
     problems = validate_witness(fs, base)
     if growth_class is not None:
         for times in (1, 2):
             pumped = {eid: n + times * circulation[eid]
                       for eid, n in base.multiplicities.items()}
-            if not _support_connected(kept, pumped, fs.source):
+            if _stranded(kept, pumped, fs.source) is not None:
                 problems.append(f"pumped support disconnected at t={times}")
     if problems:
         raise AssertionError("internal witness check failed: " + "; ".join(problems))

@@ -28,6 +28,7 @@ from ncmkit.decide import (
     bd_with_bound,
     contained_in_regular,
     infer_family,
+    is_infinite,
     is_letter_bounded,
     is_m_bounded,
     membership,
@@ -39,8 +40,8 @@ from ncmkit.oracle import caps_for, enumerate_language
 from ncmkit.patterns import generator, parse_pattern
 from ncmkit.phase import CHANGE_CLASS, phase_automaton, to_flow_system, witness_run
 
-# Fixtures whose letter-boundedness decides in about a second; ex2 and
-# ex4a-m1 are not letter-bounded, but their pump search runs far longer.
+# Letter-bounded fixtures; ex2 and ex4a-m1 are not letter-bounded
+# (test_letter_bounded_no_by_pump).
 BOUNDED = ("anbn", "anbncn", "anbn-cldl", "loop", "aibjcidj", "ex3")
 # Every language of this random corpus is letter-bounded or empty.
 CORPUS = machine_corpus(61, 30)
@@ -372,12 +373,8 @@ def stratified(letters) -> bool:
                    for p, q, u, v in itertools.combinations(letters, 4))
 
 
-# The pump searches of ex4a-m1 and LBi2 run for minutes.
-INFER_SPLIT = [n for n in sorted(BEHAVIOR_MACHINES) if n not in ("ex4a-m1", "LBi2")]
-
-
 @pytest.mark.parametrize("tag", ["LBiLBd", "StLB"])
-@pytest.mark.parametrize("name", INFER_SPLIT)
+@pytest.mark.parametrize("name", sorted(BEHAVIOR_MACHINES))
 def test_infer_family_split_and_stratified(name, tag):
     machine = BEHAVIOR_MACHINES[name]
     sd = self_describing(machine, "full")
@@ -400,3 +397,53 @@ def test_infer_family_split_and_stratified(name, tag):
         assert not any(increases_after_decrease(b) for b in behaviors)
     else:
         assert verdict.answer is stratified(verdict.witness)
+
+
+# ---------------------------------------------------------------------------
+# Cells whose pump searches ran for minutes before the flow search took
+# its branches from LP vertices, each under the default budget.
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex4a-m1"])
+def test_letter_bounded_no_by_pump(name):
+    machine = load(name)
+    verdict = is_letter_bounded(machine)
+    assert verdict.answer is False
+    check_pump(machine, verdict.witness)
+    assert len(verdict.witness.pumped) > len(verdict.witness.word)
+
+
+@pytest.mark.parametrize("tag, mode", [("LB", "full"), ("LBi", "increases-only")])
+def test_infer_ex4a_m1_no_by_pump(tag, mode):
+    machine = load("ex4a-m1")
+    verdict = infer_family(machine, tag)
+    assert verdict.answer is False
+    check_pump(self_describing(machine, mode), verdict.witness, instructions)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_m_bounded_ex2_no_by_length(m):
+    machine = load("ex2")
+    verdict = is_m_bounded(machine, m)
+    assert verdict.answer is False
+    assert isinstance(verdict.witness, str)
+    assert membership(machine, verdict.witness).answer
+    assert len(verdict.witness) % m != 0
+
+
+def test_infinite_ex3():
+    machine = load("ex3")
+    verdict = is_infinite(machine)
+    assert verdict.answer is True
+    base, pumped = verdict.witness.word, verdict.witness.pumped
+    assert membership(machine, base).answer and membership(machine, pumped).answer
+    assert len(pumped) > len(base)
+
+
+def test_infer_split_of_lbd2():
+    # LBd2's decrease behaviors are letter-bounded, but its full ones are
+    # not: the LBiLBd answer is a pump of the full self-describing machine
+    machine = generator("LBd", 2)
+    verdict = infer_family(machine, "LBiLBd")
+    assert verdict.answer is False
+    check_pump(self_describing(machine, "full"), verdict.witness, instructions)

@@ -48,12 +48,31 @@ def two_node_system() -> FlowSystem:
     )
 
 
+def detour_system() -> FlowSystem:
+    """The forced C1 pass s->t needs the D1 loop at u, which only the
+    detour s->u->t reaches; the LP vertex uses the loop without it."""
+    return FlowSystem(
+        nodes=frozenset({"s", "t", "u"}),
+        edges=(
+            FlowEdge("a", "s", "t", frozenset({"C1"}), lower=1),
+            FlowEdge("b", "u", "u", frozenset({"D1"})),
+            FlowEdge("c", "t", "s"),
+            FlowEdge("d", "s", "u"),
+            FlowEdge("e", "u", "t"),
+        ),
+        source="s",
+        sinks=frozenset({"t"}),
+        balance_pairs=(("C1", "D1"),),
+    )
+
+
 def walk_multisets(fs: FlowSystem, max_edges: int) -> set:
     """Usage multisets of all feasible source-to-sink walks, brute force."""
     by_src: dict = {}
     for e in fs.edges:
         by_src.setdefault(e.src, []).append(e)
     found = set()
+    visited = set()
 
     def ok(counts: Counter) -> bool:
         for e in fs.edges:
@@ -67,6 +86,11 @@ def walk_multisets(fs: FlowSystem, max_edges: int) -> set:
         return True
 
     def rec(node: str, counts: Counter, depth: int) -> None:
+        # what follows depends only on the node and the counts so far
+        state = (node, frozenset(counts.items()))
+        if state in visited:
+            return
+        visited.add(state)
         if node in fs.sinks and ok(counts):
             found.add(frozenset(counts.items()))
         if depth == max_edges:
@@ -158,26 +182,42 @@ class TestSolve:
 
     def test_node_budget(self):
         with pytest.raises(ResourceBudgetError):
-            solve(two_node_system(), Budget(limit=0))
+            solve(detour_system(), Budget(limit=0))
 
     def test_stats_report_node_count(self):
+        # the LP vertex of the root is a walk: no search node is expanded
         stats: dict = {}
-        solve(two_node_system(), stats=stats)
+        witness = solve(two_node_system(), Budget(limit=0), stats=stats)
+        assert witness.multiplicities == {"a": 1, "b": 1}
+        assert stats["nodes"] == 0
+        stats = {}
+        solve(detour_system(), stats=stats)
         assert stats["nodes"] >= 1
+
+    def test_disconnected_vertex_is_cut(self):
+        # The root vertex uses a and the loop b, whose support splits; the
+        # cut around u forces the detour.
+        fs = detour_system()
+        witness = solve(fs)
+        assert isinstance(witness, FlowWitness)
+        assert validate_witness(fs, witness) == []
+        assert witness.multiplicities["d"] == witness.multiplicities["e"] == 1
+        used = {eid: n for eid, n in witness.multiplicities.items() if n}
+        assert frozenset(used.items()) in walk_multisets(fs, 5)
 
     @pytest.mark.parametrize("growth", [None, INPUT_CLASS])
     def test_budget_is_charged_one_unit_per_node(self, growth):
-        fs = to_flow_system(phase_automaton(load_machine(fixture_path("anbn.ncm"))))
         budget, stats = Budget(), {}
         if growth is None:
-            solve(fs, budget, stats)
+            solve(detour_system(), budget, stats)
         else:
+            fs = to_flow_system(phase_automaton(load_machine(fixture_path("anbn.ncm"))))
             solve_unbounded(fs, growth, budget, stats)
         assert budget.used == stats["nodes"] > 1
 
     def test_cancel_stops_the_search_midway(self):
-        # infinite anbn expands 42 nodes; cancel turns true on the sixth
-        fs = to_flow_system(phase_automaton(load_machine(fixture_path("anbn.ncm"))))
+        # infinite aibjcidj expands 8 nodes; cancel turns true on the sixth
+        fs = to_flow_system(phase_automaton(load_machine(fixture_path("aibjcidj.ncm"))))
         polls = iter(range(1000))
         budget = Budget(cancel=lambda: next(polls) >= 5)
         with pytest.raises(ResourceBudgetError, match="query cancelled"):
@@ -186,32 +226,56 @@ class TestSolve:
 
     def test_random_systems_agree_with_brute_force(self):
         rng = random.Random(1312)
-        nodes = ("n0", "n1", "n2")
-        classes = ("C1", "D1")
         for trial in range(120):
-            n_edges = rng.randint(2, 6)
-            edges = []
-            for i in range(n_edges):
-                carried = frozenset(
-                    c for c in classes if rng.random() < 0.4)
-                lower = 1 if rng.random() < 0.15 else 0
-                edges.append(FlowEdge(
-                    f"e{i}", rng.choice(nodes), rng.choice(nodes),
-                    carried, lower))
-            fs = FlowSystem(
-                nodes=frozenset(nodes),
-                edges=tuple(edges),
-                source="n0",
-                sinks=frozenset({rng.choice(nodes)}),
-                balance_pairs=(("C1", "D1"),) if rng.random() < 0.7 else (),
-            )
-            rng.random()  # keeps the draws, and so the systems, of later trials
+            fs = random_system(rng)
             result = solve(fs)
             reachable = walk_multisets(fs, 6)
             if isinstance(result, FlowWitness):
                 assert validate_witness(fs, result) == [], trial
             else:
                 assert reachable == set(), (trial, reachable)
+
+
+def random_system(rng: random.Random, classes=("C1", "D1")) -> FlowSystem:
+    """2 to 6 random edges over three nodes, each in some of the classes,
+    a few with lower bound 1, and mostly the balance pair (C1, D1)."""
+    nodes = ("n0", "n1", "n2")
+    n_edges = rng.randint(2, 6)
+    edges = []
+    for i in range(n_edges):
+        carried = frozenset(
+            c for c in classes if rng.random() < 0.4)
+        lower = 1 if rng.random() < 0.15 else 0
+        edges.append(FlowEdge(
+            f"e{i}", rng.choice(nodes), rng.choice(nodes),
+            carried, lower))
+    fs = FlowSystem(
+        nodes=frozenset(nodes),
+        edges=tuple(edges),
+        source="n0",
+        sinks=frozenset({rng.choice(nodes)}),
+        balance_pairs=(("C1", "D1"),) if rng.random() < 0.7 else (),
+    )
+    rng.random()  # keeps the draws, and so the systems, of later trials
+    return fs
+
+
+def brute_force_pump(fs: FlowSystem, growth: str, max_edges: int):
+    """A walk w and a circulation c using the growth class such that w,
+    w+c and w+2c are all valid walks of at most max_edges edges, or None.
+    Then w + t*c is a valid walk for every t."""
+    walks = walk_multisets(fs, max_edges)
+    grows = {e.eid for e in fs.class_edges(growth)}
+    for w in sorted(walks, key=sorted):
+        base = Counter(dict(w))
+        for w1 in walks:
+            bigger = Counter(dict(w1))
+            c = bigger - base
+            if (c and all(bigger[e] >= n for e, n in base.items())
+                    and grows & {e for e, n in c.items() if n}
+                    and frozenset((bigger + c).items()) in walks):
+                return base, c
+    return None
 
 
 def anbn_flow_system() -> FlowSystem:
@@ -299,8 +363,24 @@ class TestSolveUnbounded:
         seen = record_lp_systems(monkeypatch)
         stats: dict = {}
         assert solve_unbounded(fs, INPUT_CLASS, stats=stats) is None
-        assert [feasible for _, _, (feasible, _) in seen] == [False]
+        assert [feasible for _, _, (feasible, _, _) in seen] == [False]
         assert stats["lp_pivots"] == seen[0][2][1]
+
+    def test_random_pumps_agree_with_brute_force(self):
+        rng = random.Random(2024)
+        found = 0
+        for trial in range(150):
+            fs = random_system(rng, classes=("C1", "D1", "G"))
+            pump = solve_unbounded(fs, "G")
+            expected = brute_force_pump(fs, "G", 8)
+            if expected is not None:
+                found += 1
+                assert pump is not None, (trial, expected)
+            if pump is not None:
+                assert validate_witness(fs, pump.base) == [], trial
+                for times in range(4):
+                    pump_walk(fs, pump, times)
+        assert found >= 10
 
     def test_pump_walk_rejects_negative_times(self):
         fs = anbn_flow_system()
@@ -342,7 +422,8 @@ class TestValidation:
 # flows._eliminate and flows._lp_feasible that the sparse integer ones
 # replaced, kept as references; the simplex also counts its pivots.
 # The sparse routines must give the same pivots, the same rows with the
-# same coefficient order, the same answers and the same pivot counts.
+# same coefficient order, the same answers and the same pivot counts,
+# and the vertex the simplex returns must solve its rows exactly.
 
 
 def _reference_row(coeffs: dict, rhs: Fraction) -> flows._Row:
@@ -456,6 +537,19 @@ def reference_lp_feasible(rows, n_vars: int):
     return residue == 0, pivots
 
 
+def check_vertex(rows, n_vars: int, result) -> None:
+    """A feasible answer comes with an exact, nonnegative solution of the
+    rows, an infeasible one with none."""
+    feasible, _, vertex = result
+    if not feasible:
+        assert vertex is None
+        return
+    assert len(vertex) == n_vars
+    assert all(isinstance(x, Fraction) and x >= 0 for x in vertex)
+    for coeffs, b in rows:
+        assert sum(c * vertex[v] for v, c in coeffs.items()) == b
+
+
 def echelon(result):
     """An elimination result with each row's coefficient order spelled out."""
     consistent, pivots, rows = result
@@ -503,8 +597,35 @@ def test_eliminate_matches_dense_reference(system):
 def test_lp_feasible_matches_dense_reference(system):
     rows, n_vars = system
     lp_rows = [(row.coeffs, row.rhs) for row in rows]
-    assert flows._lp_feasible(lp_rows, n_vars) == \
-        reference_lp_feasible(lp_rows, n_vars)
+    result = flows._lp_feasible(lp_rows, n_vars)
+    assert result[:2] == reference_lp_feasible(lp_rows, n_vars)
+    check_vertex(lp_rows, n_vars, result)
+
+
+@st.composite
+def feasible_lp_rows(draw):
+    """(rows, n_vars) with a nonnegative rational solution: each row is
+    taken through a drawn point and scaled to integers."""
+    n_vars = draw(st.integers(1, 10))
+    point = [Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+             for _ in range(n_vars)]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        coeffs = draw(st.dictionaries(st.integers(0, n_vars - 1), st.integers(-4, 4),
+                                      max_size=n_vars))
+        value = sum(c * point[v] for v, c in coeffs.items())
+        scale = value.denominator if coeffs else 1
+        rows.append(({v: scale * c for v, c in coeffs.items()}, int(scale * value)))
+    return rows, n_vars
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasible_lp_rows())
+def test_lp_vertex_solves_its_rows(system):
+    rows, n_vars = system
+    result = flows._lp_feasible(rows, n_vars)
+    assert result[0]
+    check_vertex(rows, n_vars, result)
 
 
 def fixture_systems():
@@ -568,7 +689,8 @@ class TestExactAlgebraOnFixtures:
         solve_briefly(fs, growth)
         assert seen
         for rows, n_vars, result in seen:
-            assert result == reference_lp_feasible(rows, n_vars)
+            assert result[:2] == reference_lp_feasible(rows, n_vars)
+            check_vertex(rows, n_vars, result)
 
     @on_fixture_systems
     def test_stats_count_lp_pivots(self, monkeypatch, name, fs, kept, growth,
@@ -577,7 +699,7 @@ class TestExactAlgebraOnFixtures:
         stats: dict = {}
         solve_briefly(fs, growth, stats)
         assert seen
-        assert stats["lp_pivots"] == sum(pivots for _, _, (_, pivots) in seen)
+        assert stats["lp_pivots"] == sum(pivots for _, _, (_, pivots, _) in seen)
 
 
 # ---------------------------------------------------------------------------
