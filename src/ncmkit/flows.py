@@ -10,19 +10,22 @@ the edges on source-to-sink paths; assemble one linear system, the
 walk's conservation and balance rows plus, for a growth class, the same
 rows over a second copy of the edge variables; refute it with an exact
 phase-1 simplex on the circulation rows, then on the walk rows, which
-also gives a vertex of each.  When that vertex already is an answer, the
-search never starts.  Otherwise a depth-first branch-and-bound runs
-inside the standard small-solution box for integer linear systems.  At
-each node, variable intervals are first tightened against the rows and
-the rows of their Gauss-Jordan elimination, with divisibility checks;
-then an exact LP over the node's bounds gives a vertex.  The node is
-pruned when either finds no solution.  Otherwise it branches on the
-first fractional walk variable, or, when the walk is integral but the
-walk or the walk plus the circulation has a support part not connected
-to the source, on which of the edges around that part is used (a
-subtour-elimination disjunction, as Dantzig, Fulkerson and Johnson,
-1954).  The circulation rows are homogeneous, so a rational circulation
-is scaled to an integer one instead of being branched on.
+also gives a vertex of each.  Every LP is contracted first: a row that
+only says two variables are equal, as most conservation rows of a word
+product do, merges the two columns and is dropped, and the merged
+variable takes its partner's value in the vertex.  When the vertex
+already is an answer, the search never starts.  Otherwise a depth-first
+branch-and-bound runs inside the standard small-solution box for integer
+linear systems.  At each node, variable intervals are first tightened
+against the rows and the rows of their Gauss-Jordan elimination, with
+divisibility checks; then an exact LP over the node's bounds gives a
+vertex.  The node is pruned when either finds no solution.  Otherwise it
+branches on the first fractional walk variable, or, when the walk is
+integral but the walk or the walk plus the circulation has a support
+part not connected to the source, on which of the edges around that part
+is used (a subtour-elimination disjunction, as Dantzig, Fulkerson and
+Johnson, 1954).  The circulation rows are homogeneous, so a rational
+circulation is scaled to an integer one instead of being branched on.
 
 A "no" rests only on an interval contradiction, an infeasible relaxation
 of a node's bounds, and branching that covers every integer point of the
@@ -32,9 +35,10 @@ The systems are small, sparse and mostly +-1, so the elimination and
 the simplex work fraction-free on sparse integer rows ({var: int} plus
 an int right-hand side): a row is combined with a pivot row by
 row <- p*row - f*pivot_row, touching only the rows that hold the pivot
-column, and divided by the gcd of its entries.  Only the vertex read off
-the final simplex tableau is rational; the results are those of exact
-rational arithmetic.
+column, and divided by the gcd of its entries.  The simplex drops each
+artificial column as it leaves the basis, so the artificials never fill
+the tableau in.  Only the vertex read off the final simplex tableau is
+rational; the results are those of exact rational arithmetic.
 
 Everything is deterministic.  Each expanded search node is charged, as it
 is expanded, to the query's Budget (nfa.Budget); when the budget runs out
@@ -526,7 +530,9 @@ def _relaxation(rows: list[_Row], intervals: list, capped=()):
     every other one is shifted by its lower bound, and bounded above only
     when it is in capped, the variables whose upper bound branching set.
     The other upper bounds are those of the box or follow from it, and
-    as rows they would only make the vertex's numbers box-sized."""
+    as rows they would only make the vertex's numbers box-sized.  The
+    rows are then contracted (_contract) before the simplex runs, and
+    a merged column takes the value of the column it was merged into."""
     n = len(intervals)
     lp_rows: list[tuple[dict, int]] = []
     slack = n
@@ -536,25 +542,75 @@ def _relaxation(rows: list[_Row], intervals: list, capped=()):
         for v, c in row.coeffs.items():
             lo, hi = intervals[v]
             rhs -= c * lo
-            if lo < hi:
+            if lo < hi and c:
                 coeffs[v] = c
         if row.kind == _GE:
             coeffs[slack] = -1
             slack += 1
-        elif not coeffs:
-            if rhs:
-                return 0, None
-            continue
         lp_rows.append((coeffs, rhs))
     for v in sorted(capped):
         lo, hi = intervals[v]
         if lo < hi:
             lp_rows.append(({v: 1, slack: 1}, hi - lo))
             slack += 1
+    contracted = _contract(lp_rows)
+    if contracted is None:
+        return 0, None
+    lp_rows, rep = contracted
     feasible, pivots, vertex = _lp_feasible(lp_rows, slack)
     if not feasible:
         return pivots, None
-    return pivots, [lo + vertex[v] for v, (lo, _) in enumerate(intervals)]
+    return pivots, [lo + vertex[rep.get(v, v)] for v, (lo, _) in enumerate(intervals)]
+
+
+def _contract(rows: list[tuple[dict, int]]):
+    """Remove the rows that only say two columns are equal.
+
+    A row c*x_a - c*x_b = 0 is dropped and column a merged into column b,
+    the higher-indexed of the two: x_a is replaced by x_b in every other
+    row (a standard LP presolve step, as Andersen and Andersen,
+    "Presolving in linear programming", 1995).  A row left with no
+    column is dropped when its right-hand side is 0 and makes the rows
+    infeasible otherwise.  Merging can make new such rows, so the rows
+    are swept until a sweep merges nothing.  The rows hold no zero
+    coefficient.  Returns None when infeasible, else the remaining rows,
+    in their order, and a map from each merged column to the column that
+    now stands for it; x >= 0 on the rows is feasible exactly when it is
+    on the remaining ones."""
+    parent: dict = {}
+
+    def find(v):
+        root = v
+        while root in parent:
+            root = parent[root]
+        while v != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    merged = True
+    while merged:
+        merged = False
+        kept = []
+        for coeffs, rhs in rows:
+            if parent and not parent.keys().isdisjoint(coeffs):
+                folded: dict = {}
+                for v, c in coeffs.items():
+                    v = find(v)
+                    folded[v] = folded.get(v, 0) + c
+                coeffs = {v: c for v, c in folded.items() if c}
+            if not coeffs:
+                if rhs:
+                    return None
+                continue
+            if len(coeffs) == 2 and not rhs:
+                (a, ca), (b, cb) = coeffs.items()
+                if ca == -cb:
+                    parent[min(a, b)] = max(a, b)
+                    merged = True
+                    continue
+            kept.append((coeffs, rhs))
+        rows = kept
+    return rows, {v: find(v) for v in parent}
 
 
 class _Search:
@@ -771,8 +827,12 @@ def _lp_feasible(rows: list[tuple[dict, int]], n_vars: int):
     variable per row and Bland's rule (so it terminates): the entering
     column is the lowest-index one with a negative reduced cost, and the
     leaving row has the minimum ratio, ties going to the lowest basic
-    variable.  Artificials that leave the basis stay in the tableau and
-    may enter again.
+    variable.  An artificial that leaves the basis is dropped: a basic
+    column is nonzero only in its own row, so deleting that one entry
+    before the pivot removes the column, which then never fills in the
+    other rows or the cost row and never enters again.  Any subset of
+    the artificials still has phase-1 optimum 0 exactly when the rows
+    are feasible, so the answer is the same.
 
     The arithmetic is integer and fraction-free.  Each sparse tableau
     row stands for itself divided by an implicit positive scale, the
@@ -821,6 +881,10 @@ def _lp_feasible(rows: list[tuple[dict, int]], n_vars: int):
                                               and basis[r] < basis[leave]):
                     leave = r
         p = tab[leave][entering]
+        if basis[leave] >= n_vars:
+            # the leaving artificial's column holds only this entry; with
+            # it gone the column is gone, so it never spreads or enters
+            del tab[leave][basis[leave]]
         for r in range(m):
             f = tab[r].get(entering)
             if r != leave and f:

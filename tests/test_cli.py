@@ -58,7 +58,8 @@ def test_exhausted_budget_exits_3(capsys):
 # witnesses, but never give another answer.  A walk read straight off
 # the root's LP vertex expands no node, as in every empty cell here.
 # empty and infinite run on every fixture; bd-bounded 3 runs one
-# containment check per candidate pattern and then one over their union.
+# containment check per candidate pattern and then one over their union;
+# satisfies runs one containment check of the machine's behaviors.
 SEARCHES = [
     (["infinite", fixture_path("aibjcidj.ncm")], True, 8, "abbcdd,abbbcddd"),
     (["infinite", fixture_path("ex3.ncm")], True, 12,
@@ -83,6 +84,8 @@ SEARCHES = [
     (["bd-bounded", fixture_path("loop.ncm"), "3"], True, 46, "C1* D1*"),
     (["bd-bounded", fixture_path("aibjcidj.ncm"), "3"], False, 366, "C1C2D1D2"),
     (["bd-bounded", fixture_path("ex4a-m1.ncm"), "3"], False, 366, "C2C1D1D2"),
+    (["satisfies", fixture_path("ex3.ncm"), "--pattern", "C1*C2*C3*C4*D1*D2*D3*D4*"],
+     False, 17, "C1C2C3C4D1D3D2D4"),
 ]
 
 
